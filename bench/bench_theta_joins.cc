@@ -1,20 +1,17 @@
 // Theta-join benchmark (DESIGN.md §11): runs the parameterized range-/
 // inequality-join and disjunctive-predicate queries of the XMark and
-// DBLP workloads through the full ROX pipeline in both materialization
-// modes, enforces byte-identical results, and reports per-query wall
-// times so the new edge class shows up in the perf trajectory (the CI
+// DBLP workloads through the full ROX pipeline, checks that repeats
+// return identical results, and reports per-query wall times and join
+// rows/sec so the edge class shows up in the perf trajectory (the CI
 // perf-trend job compares the JSON against the previous run's).
+// Result correctness is tested against the reference evaluator in
+// tests/theta_join_test.cc.
 //
 //   $ ./bench_theta_joins [--xmark_scale=0.15] [--dblp_tag_scale=0.1]
-//        [--repeat=5] [--tau=100] [--seed=42] [--smoke] [--vectorized=1]
-//        [--json=BENCH_theta_joins.json] [--max_regression=0]
+//        [--repeat=5] [--tau=100] [--seed=42] [--smoke]
+//        [--json=BENCH_theta_joins.json]
 //
 // --smoke shrinks the corpus and repeat count for CI.
-// --vectorized=0 runs the row-at-a-time kernel fallback
-//   (RoxOptions::vectorized_kernels, DESIGN.md §14) for A/B rate
-//   comparisons against the default batched kernels.
-// --max_regression=R fails the run if, on any query, the lazy total
-//   wall time exceeds R x the eager total wall time.
 
 #include <algorithm>
 #include <cstdio>
@@ -50,23 +47,20 @@ std::vector<BenchQuery> Queries() {
   };
 }
 
-struct ModeRun {
+struct QueryRun {
   double best_total_ms = 0;
   // Intermediate rows the best repeat pushed through its join kernels —
-  // with best_total_ms this yields the per-kernel rows/sec rate the
-  // perf-trend job tracks (row counts are representation-independent,
-  // so lazy and eager rates are directly comparable).
+  // with best_total_ms this yields the rows/sec rate the perf-trend job
+  // tracks.
   uint64_t intermediate_rows = 0;
   std::vector<Pre> items;
 };
 
-Result<ModeRun> RunMode(const Corpus& corpus,
-                        const xq::CompiledQuery& compiled,
-                        const RoxOptions& base, bool lazy, int repeat) {
-  ModeRun out;
+Result<QueryRun> RunQuery(const Corpus& corpus,
+                          const xq::CompiledQuery& compiled,
+                          const RoxOptions& rox, int repeat) {
+  QueryRun out;
   for (int r = 0; r < repeat; ++r) {
-    RoxOptions rox = base;
-    rox.lazy_materialization = lazy;
     RoxStats stats;
     StopWatch watch;
     auto items = xq::RunXQuery(corpus, compiled, rox, &stats);
@@ -79,15 +73,14 @@ Result<ModeRun> RunMode(const Corpus& corpus,
     if (r == 0) {
       out.items = std::move(*items);
     } else if (*items != out.items) {
-      return Status::Internal(
-          "result items differ between repeats of the same mode");
+      return Status::Internal("result items differ between repeats");
     }
   }
   return out;
 }
 
-// Rows/sec of a mode run (0 when the wall time rounds to zero).
-double RowsPerSec(const ModeRun& run) {
+// Rows/sec of a query run (0 when the wall time rounds to zero).
+double RowsPerSec(const QueryRun& run) {
   return run.best_total_ms > 0
              ? static_cast<double>(run.intermediate_rows) /
                    (run.best_total_ms / 1000.0)
@@ -104,8 +97,6 @@ int Main(int argc, char** argv) {
   const int repeat = static_cast<int>(flags.GetInt("repeat", smoke ? 2 : 5));
   const uint64_t tau = static_cast<uint64_t>(flags.GetInt("tau", 100));
   const uint64_t seed = static_cast<uint64_t>(flags.GetInt("seed", 42));
-  const double max_regression = flags.GetDouble("max_regression", 0.0);
-  const bool vectorized = flags.GetBool("vectorized", true);
   const std::string json_path =
       flags.GetString("json", "BENCH_theta_joins.json");
   flags.FailOnUnused();
@@ -128,29 +119,21 @@ int Main(int argc, char** argv) {
     return 1;
   }
   std::printf(
-      "XMark scale %.2f (%u nodes) + DBLP tag scale %.2f; %d repeats; "
-      "%s kernels\n\n",
-      xmark_scale, corpus.doc(*xdoc).NodeCount(), dblp_tag_scale, repeat,
-      vectorized ? "vectorized" : "fallback");
+      "XMark scale %.2f (%u nodes) + DBLP tag scale %.2f; %d repeats\n\n",
+      xmark_scale, corpus.doc(*xdoc).NodeCount(), dblp_tag_scale, repeat);
 
   RoxOptions rox;
   rox.tau = tau;
   rox.seed = seed;
-  rox.vectorized_kernels = vectorized;
 
   struct Row {
     std::string name;
     uint64_t items = 0;
-    double eager_ms = 0, lazy_ms = 0, speedup = 0;
-    double eager_rows_per_sec = 0, lazy_rows_per_sec = 0;
-    bool identical = false;
+    double total_ms = 0, rows_per_sec = 0;
   };
   std::vector<Row> rows;
-  bool all_identical = true;
-  bool regression = false;
 
-  std::printf("query           | eager ms | lazy ms  | lazy x | items    | "
-              "identical\n");
+  std::printf("query           | total ms | rows/sec     | items\n");
   for (const BenchQuery& q : Queries()) {
     auto compiled = xq::CompileXQuery(corpus, q.text);
     if (!compiled.ok()) {
@@ -158,92 +141,58 @@ int Main(int argc, char** argv) {
                    compiled.status().ToString().c_str());
       return 1;
     }
-    auto eager = RunMode(corpus, *compiled, rox, /*lazy=*/false, repeat);
-    auto lazy = RunMode(corpus, *compiled, rox, /*lazy=*/true, repeat);
-    if (!eager.ok() || !lazy.ok()) {
+    auto run = RunQuery(corpus, *compiled, rox, repeat);
+    if (!run.ok()) {
       std::fprintf(stderr, "%s: %s\n", q.name.c_str(),
-                   (!eager.ok() ? eager : lazy).status().ToString().c_str());
+                   run.status().ToString().c_str());
       return 1;
     }
     Row row;
     row.name = q.name;
-    row.items = lazy->items.size();
-    row.eager_ms = eager->best_total_ms;
-    row.lazy_ms = lazy->best_total_ms;
-    row.speedup = row.lazy_ms > 0 ? row.eager_ms / row.lazy_ms : 0;
-    row.eager_rows_per_sec = RowsPerSec(*eager);
-    row.lazy_rows_per_sec = RowsPerSec(*lazy);
-    row.identical = eager->items == lazy->items;
-    all_identical &= row.identical;
-    if (max_regression > 0 && row.lazy_ms > row.eager_ms * max_regression) {
-      regression = true;
-    }
-    std::printf("%-15s | %8.1f | %8.1f | %5.2fx | %8llu | %s\n",
-                row.name.c_str(), row.eager_ms, row.lazy_ms, row.speedup,
-                static_cast<unsigned long long>(row.items),
-                row.identical ? "yes" : "NO");
+    row.items = run->items.size();
+    row.total_ms = run->best_total_ms;
+    row.rows_per_sec = RowsPerSec(*run);
+    std::printf("%-15s | %8.1f | %12.1f | %llu\n", row.name.c_str(),
+                row.total_ms, row.rows_per_sec,
+                static_cast<unsigned long long>(row.items));
     rows.push_back(std::move(row));
   }
 
   // JSON report; the flat "metrics" object is what the CI perf-trend
   // job (tools/perf_trend.py) compares across runs.
-  if (std::FILE* f = std::fopen(json_path.c_str(), "w")) {
-    std::fprintf(f,
-                 "{\n  \"bench\": \"theta_joins\",\n"
-                 "  \"xmark_scale\": %.3f,\n  \"dblp_tag_scale\": %.3f,\n"
-                 "  \"repeat\": %d,\n  \"tau\": %llu,\n  \"seed\": %llu,\n"
-                 "  \"vectorized\": %s,\n"
-                 "  \"queries\": [\n",
-                 xmark_scale, dblp_tag_scale, repeat,
-                 static_cast<unsigned long long>(tau),
-                 static_cast<unsigned long long>(seed),
-                 vectorized ? "true" : "false");
-    for (size_t i = 0; i < rows.size(); ++i) {
-      const Row& r = rows[i];
-      std::fprintf(f,
-                   "    {\"name\": \"%s\", \"result_items\": %llu,\n"
-                   "     \"eager_total_ms\": %.3f, \"lazy_total_ms\": %.3f,\n"
-                   "     \"speedup_total\": %.3f, \"identical_results\": "
-                   "%s}%s\n",
-                   r.name.c_str(), static_cast<unsigned long long>(r.items),
-                   r.eager_ms, r.lazy_ms, r.speedup,
-                   r.identical ? "true" : "false",
-                   i + 1 < rows.size() ? "," : "");
-    }
-    std::fprintf(f, "  ],\n  \"metrics\": {\n");
-    for (size_t i = 0; i < rows.size(); ++i) {
-      const Row& r = rows[i];
-      // *_rows_per_sec metrics are higher-is-better; perf_trend.py
-      // detects the suffix and inverts its regression ratio for them.
-      std::fprintf(f,
-                   "    \"%s_lazy_ms\": %.3f, \"%s_eager_ms\": %.3f,\n"
-                   "    \"%s_lazy_rows_per_sec\": %.1f, "
-                   "\"%s_eager_rows_per_sec\": %.1f%s\n",
-                   r.name.c_str(), r.lazy_ms, r.name.c_str(), r.eager_ms,
-                   r.name.c_str(), r.lazy_rows_per_sec, r.name.c_str(),
-                   r.eager_rows_per_sec, i + 1 < rows.size() ? "," : "");
-    }
-    std::fprintf(f, "  }\n}\n");
-    std::fclose(f);
-    std::printf("\nwrote %s\n", json_path.c_str());
-  } else {
+  std::FILE* f = std::fopen(json_path.c_str(), "w");
+  if (f == nullptr) {
     std::fprintf(stderr, "cannot write %s\n", json_path.c_str());
     return 1;
   }
-
-  if (!all_identical) {
-    std::fprintf(stderr,
-                 "FAIL: lazy and eager runs returned different results on a "
-                 "theta query\n");
-    return 1;
+  std::fprintf(f,
+               "{\n  \"bench\": \"theta_joins\",\n"
+               "  \"xmark_scale\": %.3f,\n  \"dblp_tag_scale\": %.3f,\n"
+               "  \"repeat\": %d,\n  \"tau\": %llu,\n  \"seed\": %llu,\n"
+               "  \"queries\": [\n",
+               xmark_scale, dblp_tag_scale, repeat,
+               static_cast<unsigned long long>(tau),
+               static_cast<unsigned long long>(seed));
+  for (size_t i = 0; i < rows.size(); ++i) {
+    const Row& r = rows[i];
+    std::fprintf(f,
+                 "    {\"name\": \"%s\", \"result_items\": %llu, "
+                 "\"total_ms\": %.3f}%s\n",
+                 r.name.c_str(), static_cast<unsigned long long>(r.items),
+                 r.total_ms, i + 1 < rows.size() ? "," : "");
   }
-  if (regression) {
-    std::fprintf(stderr,
-                 "FAIL: lazy wall time exceeded %.2fx the eager baseline\n",
-                 max_regression);
-    return 1;
+  std::fprintf(f, "  ],\n  \"metrics\": {\n");
+  for (size_t i = 0; i < rows.size(); ++i) {
+    const Row& r = rows[i];
+    // *_rows_per_sec metrics are higher-is-better; perf_trend.py
+    // detects the suffix and inverts its regression ratio for them.
+    std::fprintf(f, "    \"%s_ms\": %.3f, \"%s_rows_per_sec\": %.1f%s\n",
+                 r.name.c_str(), r.total_ms, r.name.c_str(), r.rows_per_sec,
+                 i + 1 < rows.size() ? "," : "");
   }
-  std::printf("lazy and eager results are byte-identical on every query\n");
+  std::fprintf(f, "  }\n}\n");
+  std::fclose(f);
+  std::printf("\nwrote %s\n", json_path.c_str());
   return 0;
 }
 

@@ -9,7 +9,6 @@
 #include "common/str_util.h"
 #include "common/timer.h"
 #include "exec/column_arena.h"
-#include "exec/result_table.h"
 #include "exec/result_view.h"
 #include "exec/sharded_exec.h"
 #include "exec/structural_join.h"
@@ -25,11 +24,8 @@ namespace {
 // [text] per un-stepped doc; `join_value_col` points at a text column
 // usable as the join value (all text columns of a partition have equal
 // values once joined); `text_col_of[i]` maps doc index -> its text
-// column. An eager run materializes `table`; a lazy run keeps `view`
-// (selection vectors over the run's arena) instead — join sizes are
-// identical either way.
+// column. `view` holds selection vectors over the run's arena.
 struct Partition {
-  ResultTable table;
   ResultView view;
   std::vector<int> docs;                    // doc indices joined in
   std::unordered_map<int, size_t> text_col_of;
@@ -40,12 +36,8 @@ struct Partition {
 
 CanonicalPlanExecutor::CanonicalPlanExecutor(const Corpus& corpus,
                                              std::vector<DocId> docs,
-                                             const ShardedExec* sharded,
-                                             bool lazy)
-    : corpus_(corpus),
-      docs_(std::move(docs)),
-      sharded_(sharded),
-      lazy_(lazy) {
+                                             const ShardedExec* sharded)
+    : corpus_(corpus), docs_(std::move(docs)), sharded_(sharded) {
   author_ = corpus_.string_pool().Find("author");
   ROX_CHECK(author_ != kInvalidStringId);
   ROX_CHECK(docs_.size() == 4);
@@ -58,24 +50,16 @@ Result<PlanRunStats> CanonicalPlanExecutor::Run(const JoinOrder& order,
   obs::ScopedSpan plan_span(trace_, "plan",
                             order.Label() + " / " +
                                 StepPlacementName(placement));
-  // Backs all lazy views of this run; unused (empty) on eager runs.
+  // Backs all views of this run.
   ColumnArena arena;
 
   std::vector<int> seq = order.DocSequence();
   std::vector<bool> stepped(4, false);
 
-  auto rows_of = [&](const Partition& p) {
-    return lazy_ ? p.view.NumRows() : p.table.NumRows();
-  };
-  auto cols_of = [&](const Partition& p) {
-    return lazy_ ? p.view.NumCols() : p.table.NumCols();
-  };
   // The partition's join-value column as a selection-vector-aware
-  // probe input: a lazy view column feeds the kernels as (base, sel)
-  // directly — no gather into the arena — and an eager table column is
-  // a plain contiguous span (DESIGN.md §14).
+  // probe input: the view column feeds the kernels as (base, sel)
+  // directly — no gather into the arena (DESIGN.md §14).
   auto probe_col = [&](const Partition& p) -> PreColumn {
-    if (!lazy_) return PreColumn::FromSpan(p.table.Col(p.join_value_col));
     const ResultView::Column& c = p.view.col(p.join_value_col);
     return {c.base, c.sel, p.view.NumRows()};
   };
@@ -88,27 +72,16 @@ Result<PlanRunStats> CanonicalPlanExecutor::Run(const JoinOrder& order,
     std::vector<Pre> authors(authors_span.begin(), authors_span.end());
     JoinPairs pairs = ShardedStructuralJoinPairs(
         sharded_, d, doc, authors, StepSpec::ChildText(), nullptr, nullptr,
-        cancel_, vectorized_);
+        cancel_);
+    // The pair arrays are the view: authors as the base of a
+    // selection-vector column, text nodes as a direct column.
     Partition part;
-    if (lazy_) {
-      // The pair arrays are the view: authors as the base of a
-      // selection-vector column, text nodes as a direct column.
-      std::span<const Pre> base = arena.Adopt(std::move(authors));
-      ResultView v(2, pairs.size());
-      v.col(0) = {base.data(),
-                  arena.Adopt(std::move(pairs.left_rows)).data()};
-      v.col(1) = {arena.Adopt(std::move(pairs.right_nodes)).data(),
-                  nullptr};
-      part.view = std::move(v);
-    } else {
-      part.table = ResultTable(2);
-      std::vector<Pre>& acol = part.table.MutableCol(0);
-      acol.resize(pairs.size());
-      for (uint64_t k = 0; k < pairs.size(); ++k) {
-        acol[k] = authors[pairs.left_rows[k]];
-      }
-      part.table.MutableCol(1) = std::move(pairs.right_nodes);
-    }
+    std::span<const Pre> base = arena.Adopt(std::move(authors));
+    part.view = ResultView(2, pairs.size());
+    part.view.col(0) = {base.data(),
+                        arena.Adopt(std::move(pairs.left_rows)).data()};
+    part.view.col(1) = {arena.Adopt(std::move(pairs.right_nodes)).data(),
+                        nullptr};
     part.docs = {i};
     part.text_col_of[i] = 1;
     part.join_value_col = 1;
@@ -122,20 +95,15 @@ Result<PlanRunStats> CanonicalPlanExecutor::Run(const JoinOrder& order,
     const Document& doc = corpus_.doc(docs_[i]);
     size_t col = part.text_col_of.at(i);
     std::vector<uint32_t> keep;
-    keep.reserve(rows_of(part));
-    for (uint32_t r = 0; r < rows_of(part); ++r) {
-      Pre text = lazy_ ? part.view.At(col, r) : part.table.Col(col)[r];
-      Pre parent = doc.Parent(text);
+    keep.reserve(part.view.NumRows());
+    for (uint32_t r = 0; r < part.view.NumRows(); ++r) {
+      Pre parent = doc.Parent(part.view.At(col, r));
       if (parent != kInvalidPre && doc.Kind(parent) == NodeKind::kElem &&
           doc.Name(parent) == author_) {
         keep.push_back(r);
       }
     }
-    if (lazy_) {
-      part.view = SelectRowsView(part.view, keep, arena);
-    } else {
-      part.table = part.table.SelectRows(keep);
-    }
+    part.view = SelectRowsView(part.view, keep, arena);
     stepped[i] = true;
   };
 
@@ -146,18 +114,13 @@ Result<PlanRunStats> CanonicalPlanExecutor::Run(const JoinOrder& order,
     const Document& part_doc = corpus_.doc(docs_[part.docs[0]]);
     JoinPairs pairs = ShardedValueIndexJoinPairs(
         sharded_, part_doc, probe_col(part), corpus_.doc(d),
-        corpus_.value_index(d), ValueProbeSpec::Text(), nullptr, cancel_,
-        vectorized_);
+        corpus_.value_index(d), ValueProbeSpec::Text(), nullptr, cancel_);
     Partition out;
-    if (lazy_) {
-      out.view = ExtendViewWithPairs(part.view, std::move(pairs), arena);
-    } else {
-      out.table = ExtendTableWithPairs(part.table, pairs);
-    }
+    out.view = ExtendViewWithPairs(part.view, std::move(pairs), arena);
     out.docs = part.docs;
     out.docs.push_back(i);
     out.text_col_of = part.text_col_of;
-    out.text_col_of[i] = cols_of(out) - 1;
+    out.text_col_of[i] = out.view.NumCols() - 1;
     out.join_value_col = part.join_value_col;
     return out;
   };
@@ -167,21 +130,13 @@ Result<PlanRunStats> CanonicalPlanExecutor::Run(const JoinOrder& order,
     const Document& xd = corpus_.doc(docs_[x.docs[0]]);
     const Document& yd = corpus_.doc(docs_[y.docs[0]]);
     // Probe with x's value column against y's distinct value column.
-    std::vector<Pre> inner = lazy_
-                                 ? y.view.DistinctColumn(y.join_value_col)
-                                 : y.table.DistinctColumn(y.join_value_col);
-    JoinPairs pairs =
-        ShardedHashValueJoinPairs(sharded_, xd, probe_col(x), yd, inner,
-                                  nullptr, cancel_, vectorized_);
+    std::vector<Pre> inner = y.view.DistinctColumn(y.join_value_col);
+    JoinPairs pairs = ShardedHashValueJoinPairs(sharded_, xd, probe_col(x),
+                                                yd, inner, nullptr, cancel_);
     Partition out;
-    size_t x_cols = cols_of(x);
-    if (lazy_) {
-      out.view =
-          JoinViewsWithPairs(x.view, pairs, y.view, y.join_value_col, arena);
-    } else {
-      out.table =
-          JoinTablesWithPairs(x.table, pairs, y.table, y.join_value_col);
-    }
+    size_t x_cols = x.view.NumCols();
+    out.view =
+        JoinViewsWithPairs(x.view, pairs, y.view, y.join_value_col, arena);
     out.docs = x.docs;
     out.docs.insert(out.docs.end(), y.docs.begin(), y.docs.end());
     out.text_col_of = x.text_col_of;
@@ -193,12 +148,13 @@ Result<PlanRunStats> CanonicalPlanExecutor::Run(const JoinOrder& order,
   };
 
   auto record_join = [&](const Partition& p) {
-    stats.join_result_sizes.push_back(rows_of(p));
-    stats.cumulative_join_rows += rows_of(p);
+    const uint64_t rows = p.view.NumRows();
+    stats.join_result_sizes.push_back(rows);
+    stats.cumulative_join_rows += rows;
     if (trace_ != nullptr) {
       char buf[48];
       std::snprintf(buf, sizeof(buf), "%llu rows",
-                    static_cast<unsigned long long>(rows_of(p)));
+                    static_cast<unsigned long long>(rows));
       trace_->Event("join", buf);
     }
   };
@@ -260,7 +216,7 @@ Result<PlanRunStats> CanonicalPlanExecutor::Run(const JoinOrder& order,
   if (cancel_ != nullptr) {
     ROX_RETURN_IF_ERROR(cancel_->Check());
   }
-  stats.result_rows = rows_of(result);
+  stats.result_rows = result.view.NumRows();
   stats.elapsed_ms = watch.ElapsedMillis();
   if (plan_span.armed()) {
     plan_span.AttrNum("joins",

@@ -42,13 +42,10 @@ class CanonicalPlanExecutor {
   // steps and value joins of every plan out per shard — the fixed
   // *logical* plan (join order, step placement) is untouched, so the
   // measured plan-class ratios stay comparable; only wall-clock
-  // changes. Must outlive the executor. `lazy` (the default) keeps
-  // partition intermediates as selection-vector views over a per-run
-  // arena instead of row-copying at every join/filter; join sizes and
-  // result counts are identical either way (DESIGN.md §8).
+  // changes. Must outlive the executor. Partition intermediates are
+  // selection-vector views over a per-run arena (DESIGN.md §8).
   CanonicalPlanExecutor(const Corpus& corpus, std::vector<DocId> docs,
-                        const ShardedExec* sharded = nullptr,
-                        bool lazy = true);
+                        const ShardedExec* sharded = nullptr);
 
   // Runs one (join order, step placement) plan.
   Result<PlanRunStats> Run(const JoinOrder& order,
@@ -73,21 +70,13 @@ class CanonicalPlanExecutor {
   // Status (DESIGN.md §13). Same lifetime contract as set_trace.
   void set_cancel(const CancellationToken* cancel) { cancel_ = cancel; }
 
-  // Kernel path for subsequent Run() calls: the vectorized batch
-  // kernels (the default) or the row-at-a-time fallback. Results are
-  // byte-identical (DESIGN.md §14); mirrors
-  // RoxOptions::vectorized_kernels.
-  void set_vectorized(bool vectorized) { vectorized_ = vectorized; }
-
  private:
   const Corpus& corpus_;
   std::vector<DocId> docs_;
   StringId author_;
   const ShardedExec* sharded_;
-  bool lazy_;
   obs::QueryTrace* trace_ = nullptr;
   const CancellationToken* cancel_ = nullptr;
-  bool vectorized_ = true;
 };
 
 // Cumulative join cardinality of a join order computed purely from the

@@ -266,7 +266,7 @@ Result<ProgressiveResult> ExecuteProgressively(
     executed[e] = true;
     --remaining;
     double observed =
-        state.estate(e).HasResult()
+        state.estate(e).view.has_value()
             ? static_cast<double>(state.estate(e).ResultRows())
             : est;  // implied-skip edges observe nothing
     // Validity range check ([25]): re-plan the rest when the observed

@@ -774,8 +774,6 @@ QueryResult Engine::ExecuteQuery(const std::string& text, uint64_t seq,
 
   RoxOptions rox = options_.rox;
   rox.seed = MixSeed(options_.rox.seed, seq);
-  rox.lazy_materialization =
-      options_.lazy_materialization && options_.rox.lazy_materialization;
   if (st->sharded != nullptr) rox.sharded = &st->exec;
   rox.query_trace = trace.get();
   // Hand the whole pipeline its stop signal and allocation meter: the

@@ -91,13 +91,6 @@ struct EngineOptions {
   // starve the fan-out of workers.
   size_t shard_threads = 0;
 
-  // Late materialization (DESIGN.md §8): intermediates stay selection-
-  // vector views and full row gather happens once, at the plan tail.
-  // Results are byte-identical either way; off runs the eager row-
-  // copying path (the differential-testing / perf baseline). Both this
-  // and rox.lazy_materialization must be set for a lazy run.
-  bool lazy_materialization = true;
-
   // Which shard serves ROX Phase-1 sample draws;
   // ShardedExec::kSampleUnion (the default) draws from the full
   // indexes, keeping optimizer behavior identical to the unsharded

@@ -8,7 +8,7 @@ std::span<uint32_t> ColumnArena::Alloc(size_t n) {
   if (n == 0) return {};
   if (blocks_.empty() || block_words_ - used_ < n) {
     size_t words = std::max({kMinBlockWords, block_words_ * 2, n});
-    blocks_.push_back(std::make_unique<uint32_t[]>(words));
+    blocks_.push_back(std::make_unique_for_overwrite<uint32_t[]>(words));
     block_words_ = words;
     used_ = 0;
     bytes_ += words * sizeof(uint32_t);

@@ -8,7 +8,8 @@
 // replacement — a power-of-two slot array probed linearly at load
 // factor <= 1/2, no per-entry allocation, trivially discardable — and
 // back ValueHashTable (equi-join build side), ValueRuns (pair
-// expansion) and the row-dedup of ResultTable::DistinctRows.
+// expansion), the column dedup of ResultView::DistinctColumn and the
+// row-dedup of ResultTable::DistinctRows.
 
 #ifndef ROX_EXEC_FLAT_HASH_H_
 #define ROX_EXEC_FLAT_HASH_H_

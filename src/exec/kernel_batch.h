@@ -1,14 +1,12 @@
-// Shared machinery of the vectorized (batched) kernel paths
-// (DESIGN.md §14).
+// Shared machinery of the batched join kernels (DESIGN.md §14).
 //
-// The vectorized joins emit whole match spans per outer row — index
-// runs, hash-table payload groups, range-join prefixes/suffixes —
-// instead of sinking one pair at a time. BatchEmitter centralizes the
-// two protocols every emission must honor regardless of granularity:
-// the limit+1 sentinel cut-off (§2.3) and the amortized output-growth
-// cancellation poll (DESIGN.md §13). Both are enforced so that, for
-// any limit and an un-tripped token, a batched kernel's output is
-// byte-identical to its row-at-a-time fallback.
+// The kernels emit whole match spans per outer row — index runs,
+// hash-table payload groups, range-join prefixes/suffixes — instead of
+// sinking one pair at a time. BatchEmitter centralizes the two
+// protocols every emission must honor regardless of granularity: the
+// limit+1 sentinel cut-off (§2.3) and the amortized output-growth
+// cancellation poll (DESIGN.md §13). For any limit, a kernel's output
+// is therefore the first `limit` pairs of its unlimited output.
 
 #ifndef ROX_EXEC_KERNEL_BATCH_H_
 #define ROX_EXEC_KERNEL_BATCH_H_
@@ -24,7 +22,7 @@
 
 namespace rox {
 
-// Batch width of the vectorized kernel paths: small enough that the
+// Batch width of the join kernels: small enough that the
 // per-batch value arrays (ids + doubles + row bookkeeping) stay in L1,
 // large enough to amortize the per-batch governance poll.
 inline constexpr size_t kKernelBatchRows = 1024;
@@ -38,7 +36,7 @@ inline constexpr size_t kKernelBatchRows = 1024;
 inline constexpr size_t kBulkAppendMinRows = 16;
 
 // Selection-vector-aware outer input: row i is base[sel[i]], or
-// base[i] when `sel` is null (a plain contiguous span). Lets a lazy
+// base[i] when `sel` is null (a plain contiguous span). Lets a
 // ResultView column feed a probe kernel directly, without gathering
 // into a temporary first (DESIGN.md §14); both referenced arrays are
 // borrowed and must outlive the call.
@@ -65,7 +63,7 @@ struct PreColumn {
   }
 };
 
-// Emission state of one vectorized kernel run over a reused JoinPairs.
+// Emission state of one kernel run over a reused JoinPairs.
 class BatchEmitter {
  public:
   enum class Stop {
@@ -138,8 +136,8 @@ class BatchEmitter {
 
   // Amortized governance poll on output growth: once per
   // kCancelCheckRows produced pairs, crossing-based so bulk appends of
-  // any size poll at the same cadence as the row-at-a-time sinks. The
-  // first poll waits a full interval (DESIGN.md §13).
+  // any size poll at the same cadence as single-pair pushes. The first
+  // poll waits a full interval (DESIGN.md §13).
   Stop PollIfDue() {
     if (out_.right_nodes.size() < next_poll_) return Stop::kNone;
     next_poll_ =

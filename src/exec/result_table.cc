@@ -107,23 +107,6 @@ ResultTable ResultTable::SortRows(std::span<const size_t> key_cols) const {
   return SelectRows(order);
 }
 
-std::vector<Pre> ResultTable::DistinctColumn(size_t col) const {
-  // Hash-based dedup first: distinct nodes are typically far fewer than
-  // rows, so sorting only the distinct set beats sorting the column.
-  FlatRunMap<Pre, kInvalidPre> seen;
-  seen.Reset(cols_[col].size());
-  std::vector<Pre> out;
-  for (Pre p : cols_[col]) {
-    auto& slot = seen.FindOrInsert(p);
-    if (slot.b == 0) {
-      slot.b = 1;
-      out.push_back(p);
-    }
-  }
-  std::sort(out.begin(), out.end());
-  return out;
-}
-
 ResultTable JoinTablesWithPairs(const ResultTable& outer,
                                 const JoinPairs& pairs,
                                 const ResultTable& inner, size_t inner_col) {

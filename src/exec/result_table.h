@@ -1,11 +1,11 @@
 // Row-aligned, column-major tables of node identifiers.
 //
-// ROX materializes intermediate results fully (§1.1); a ResultTable is
-// one such intermediate: each column corresponds to a Join Graph vertex
-// already joined into this component, each row to one combination of
-// nodes satisfying all executed edges between those vertices. The tail
-// operators of §2.1 (projection, distinct, document-order sort) also
-// operate on ResultTables.
+// A ResultTable is a fully materialized relation: each column
+// corresponds to a Join Graph vertex, each row to one combination of
+// nodes satisfying all executed edges between those vertices. The
+// executor keeps intermediates as ResultViews (result_view.h) and
+// gathers a table once, at the plan tail, whose operators (§2.1:
+// projection, distinct, document-order sort) run on ResultTables.
 
 #ifndef ROX_EXEC_RESULT_TABLE_H_
 #define ROX_EXEC_RESULT_TABLE_H_
@@ -23,10 +23,9 @@ namespace rox {
 
 // CSR grouping of a node column: node -> (offset, length) run into
 // `row_ids`, the row indices grouped per node in ascending row order.
-// Every pair-expansion site (eager and lazy table joins, both final
-// assemblies) shares this construction, so the row order they emit is
-// identical — the invariant behind the lazy/eager byte-identity
-// guarantee (DESIGN.md §8). Backed by a flat open-addressing map
+// Every pair-expansion site (table and view joins, the final assembly)
+// shares this construction, so the row order they emit is identical
+// (DESIGN.md §8). Backed by a flat open-addressing map
 // (exec/flat_hash.h): the former std::unordered_map was the top
 // profile entry of the assembly path (one node allocation per distinct
 // value plus a destructor walk per rebuild).
@@ -96,10 +95,6 @@ class ResultTable {
   // Stable-sorts rows lexicographically by the given key columns in
   // document (pre) order — the τ numbering operator of the plan tail.
   ResultTable SortRows(std::span<const size_t> key_cols) const;
-
-  // Sorted, duplicate-free nodes of column `col` — the semi-join-reduced
-  // vertex table T(v) after an edge execution.
-  std::vector<Pre> DistinctColumn(size_t col) const;
 
  private:
   std::vector<std::vector<Pre>> cols_;

@@ -2,11 +2,10 @@
 
 #include <algorithm>
 #include <cstring>
-#include <unordered_map>
-#include <unordered_set>
 #include <utility>
 
 #include "common/check.h"
+#include "exec/flat_hash.h"
 
 namespace rox {
 
@@ -60,15 +59,23 @@ ResultTable ResultView::Gather(GatherStats* stats) const {
 std::vector<Pre> ResultView::DistinctColumn(size_t c) const {
   const Column& col = cols_[c];
   ROX_DCHECK(!col.dead);
-  std::unordered_set<Pre> seen;
-  seen.reserve(rows_);
-  if (rows_ == 0) return {};
+  // Hash-based dedup first: distinct nodes are typically far fewer than
+  // rows, so sorting only the distinct set beats sorting the column.
+  FlatRunMap<Pre, kInvalidPre> seen;
+  seen.Reset(rows_);
+  std::vector<Pre> out;
+  auto add = [&](Pre p) {
+    auto& slot = seen.FindOrInsert(p);
+    if (slot.b == 0) {
+      slot.b = 1;
+      out.push_back(p);
+    }
+  };
   if (col.sel == nullptr) {
-    seen.insert(col.base, col.base + rows_);
+    for (uint64_t r = 0; r < rows_; ++r) add(col.base[r]);
   } else {
-    for (uint64_t r = 0; r < rows_; ++r) seen.insert(col.base[col.sel[r]]);
+    for (uint64_t r = 0; r < rows_; ++r) add(col.base[col.sel[r]]);
   }
-  std::vector<Pre> out(seen.begin(), seen.end());
   std::sort(out.begin(), out.end());
   return out;
 }
@@ -132,9 +139,8 @@ ResultView JoinViewsWithPairs(const ResultView& outer, const JoinPairs& pairs,
                               ColumnArena& arena,
                               const std::vector<bool>* live_outer,
                               const std::vector<bool>* live_inner) {
-  // CSR index of the inner join column (shared construction with the
-  // eager JoinTablesWithPairs, so the emitted row expansion is
-  // identical).
+  // CSR index of the inner join column (shared construction with
+  // JoinTablesWithPairs, so the emitted row expansion is identical).
   ValueRuns vr = BuildValueRuns(
       inner.NumRows(), [&](uint32_t r) { return inner.At(inner_col, r); });
 

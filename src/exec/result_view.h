@@ -1,8 +1,8 @@
 // Late-materialization views over node columns (DESIGN.md §8).
 //
-// ROX materializes every intermediate fully (§1.1); the seed engine
-// realized that with ResultTable, copying every live column at every
-// edge execution and assembly join. A ResultView is the deferred form:
+// ROX materializes every intermediate fully (§1.1); copying every live
+// column at every edge execution and assembly join would dominate the
+// run. A ResultView is the deferred form:
 // each logical column is a (base column, selection vector) pair — the
 // value of row r in column c is base_c[sel_c[r]] — so combining
 // results appends/composes selection vectors instead of copying node
@@ -96,8 +96,8 @@ class ResultView {
   // Full materialization of all (live) columns.
   ResultTable Gather(GatherStats* stats) const;
 
-  // Sorted duplicate-free nodes of column `c` — byte-identical to
-  // ResultTable::DistinctColumn on the gathered table.
+  // Sorted, duplicate-free nodes of column `c` — the semi-join-reduced
+  // vertex table T(v) after an edge execution.
   std::vector<Pre> DistinctColumn(size_t c) const;
 
  private:
@@ -130,7 +130,7 @@ ResultView ExtendViewWithPairs(const ResultView& outer, JoinPairs&& pairs,
 // View analogue of JoinTablesWithPairs: combines `outer` and `inner`
 // through join `pairs` (left_rows index outer rows, right_nodes match
 // values of inner column `inner_col`), outer's columns first. The
-// emitted (outer row, inner row) expansion matches the eager operator
+// emitted (outer row, inner row) expansion matches JoinTablesWithPairs
 // exactly, so gathered output is byte-identical. `live_outer` /
 // `live_inner`, when non-null, mark the columns worth keeping (the
 // assembly's dead-column elision); `inner_col` itself is always read.

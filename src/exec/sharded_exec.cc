@@ -87,10 +87,10 @@ ShardedJoinParts ShardedStructuralJoinParts(
     const ShardedExec* ex, DocId ctx_doc, const Document& target_doc,
     std::span<const Pre> context, const StepSpec& step,
     const ElementIndex* index, ShardFanoutStats* stats,
-    const CancellationToken* cancel, bool vectorized) {
+    const CancellationToken* cancel) {
   if (ex == nullptr || !ex->Enabled() || context.size() < 2) {
     return SingleLane(StructuralJoinPairs(target_doc, context, step, kNoLimit,
-                                          index, cancel, vectorized),
+                                          index, cancel),
                       context.size());
   }
   std::vector<std::span<const Pre>> parts;
@@ -103,7 +103,7 @@ ShardedJoinParts ShardedStructuralJoinParts(
   ParallelFor(ex->pool, parts.size(), [&](size_t s) {
     if (parts[s].empty()) return;
     out.parts[s] = StructuralJoinPairs(target_doc, parts[s], step, kNoLimit,
-                                       index, cancel, vectorized);
+                                       index, cancel);
   });
   RecordFanout(out.parts, stats);
   return out;
@@ -113,44 +113,32 @@ ShardedJoinParts ShardedHashValueJoinParts(
     const ShardedExec* ex, const Document& outer_doc,
     const PreColumn& outer, const Document& inner_doc,
     std::span<const Pre> inner, ShardFanoutStats* stats,
-    const CancellationToken* cancel, bool vectorized) {
+    const CancellationToken* cancel) {
   ValueHashTable table(inner_doc, inner);
   if (ex == nullptr || !ex->Enabled() || outer.size() < 2) {
     JoinPairs pairs;
-    table.ProbeInto(outer_doc, outer, pairs, cancel, vectorized);
+    table.ProbeInto(outer_doc, outer, pairs, cancel);
     return SingleLane(std::move(pairs), outer.size());
   }
   return ChunkedProbe(
       *ex, outer.size(),
       [&](uint32_t lo, uint32_t hi) {
         JoinPairs pairs;
-        table.ProbeInto(outer_doc, outer.Sub(lo, hi - lo), pairs, cancel,
-                        vectorized);
+        table.ProbeInto(outer_doc, outer.Sub(lo, hi - lo), pairs, cancel);
         return pairs;
       },
       stats);
-}
-
-ShardedJoinParts ShardedHashValueJoinParts(
-    const ShardedExec* ex, const Document& outer_doc,
-    std::span<const Pre> outer, const Document& inner_doc,
-    std::span<const Pre> inner, ShardFanoutStats* stats,
-    const CancellationToken* cancel, bool vectorized) {
-  return ShardedHashValueJoinParts(ex, outer_doc, PreColumn::FromSpan(outer),
-                                   inner_doc, inner, stats, cancel,
-                                   vectorized);
 }
 
 ShardedJoinParts ShardedValueIndexJoinParts(
     const ShardedExec* ex, const Document& outer_doc,
     const PreColumn& outer, const Document& inner_doc,
     const ValueIndex& inner_index, const ValueProbeSpec& spec,
-    ShardFanoutStats* stats, const CancellationToken* cancel,
-    bool vectorized) {
+    ShardFanoutStats* stats, const CancellationToken* cancel) {
   if (ex == nullptr || !ex->Enabled() || outer.size() < 2) {
     JoinPairs pairs;
     ValueIndexJoinPairsInto(outer_doc, outer, inner_doc, inner_index, spec,
-                            kNoLimit, pairs, cancel, vectorized);
+                            kNoLimit, pairs, cancel);
     return SingleLane(std::move(pairs), outer.size());
   }
   return ChunkedProbe(
@@ -158,35 +146,22 @@ ShardedJoinParts ShardedValueIndexJoinParts(
       [&](uint32_t lo, uint32_t hi) {
         JoinPairs pairs;
         ValueIndexJoinPairsInto(outer_doc, outer.Sub(lo, hi - lo), inner_doc,
-                                inner_index, spec, kNoLimit, pairs, cancel,
-                                vectorized);
+                                inner_index, spec, kNoLimit, pairs, cancel);
         return pairs;
       },
       stats);
-}
-
-ShardedJoinParts ShardedValueIndexJoinParts(
-    const ShardedExec* ex, const Document& outer_doc,
-    std::span<const Pre> outer, const Document& inner_doc,
-    const ValueIndex& inner_index, const ValueProbeSpec& spec,
-    ShardFanoutStats* stats, const CancellationToken* cancel,
-    bool vectorized) {
-  return ShardedValueIndexJoinParts(ex, outer_doc, PreColumn::FromSpan(outer),
-                                    inner_doc, inner_index, spec, stats,
-                                    cancel, vectorized);
 }
 
 ShardedJoinParts ShardedValueIndexThetaJoinParts(
     const ShardedExec* ex, const Document& outer_doc,
     std::span<const Pre> outer, const Document& inner_doc,
     const ValueIndex& inner_index, const ValueProbeSpec& spec, CmpOp op,
-    ShardFanoutStats* stats, const CancellationToken* cancel,
-    bool vectorized) {
+    ShardFanoutStats* stats, const CancellationToken* cancel) {
   if (ex == nullptr || !ex->Enabled() || outer.size() < 2) {
-    return SingleLane(
-        ValueIndexThetaJoinPairs(outer_doc, outer, inner_doc, inner_index,
-                                 spec, op, kNoLimit, cancel, vectorized),
-        outer.size());
+    return SingleLane(ValueIndexThetaJoinPairs(outer_doc, outer, inner_doc,
+                                               inner_index, spec, op,
+                                               kNoLimit, cancel),
+                      outer.size());
   }
   return ChunkedProbe(
       *ex, outer.size(),
@@ -194,7 +169,7 @@ ShardedJoinParts ShardedValueIndexThetaJoinParts(
         return ValueIndexThetaJoinPairs(outer_doc,
                                         outer.subspan(lo, hi - lo),
                                         inner_doc, inner_index, spec, op,
-                                        kNoLimit, cancel, vectorized);
+                                        kNoLimit, cancel);
       },
       stats);
 }
@@ -203,10 +178,10 @@ ShardedJoinParts ShardedSortThetaJoinParts(
     const ShardedExec* ex, const Document& outer_doc,
     std::span<const Pre> outer, const Document& inner_doc,
     std::span<const Pre> inner, CmpOp op, ShardFanoutStats* stats,
-    const CancellationToken* cancel, bool vectorized) {
+    const CancellationToken* cancel) {
   if (ex == nullptr || !ex->Enabled() || outer.size() < 2) {
     return SingleLane(SortThetaJoinPairs(outer_doc, outer, inner_doc, inner,
-                                         op, kNoLimit, cancel, vectorized),
+                                         op, kNoLimit, cancel),
                       outer.size());
   }
   ThetaRun run = ThetaRun::Build(inner_doc, inner);
@@ -215,8 +190,7 @@ ShardedJoinParts ShardedSortThetaJoinParts(
       [&](uint32_t lo, uint32_t hi) {
         JoinPairs pairs;
         ThetaRunJoinPairsInto(outer_doc, outer.subspan(lo, hi - lo),
-                              inner_doc, run, op, kNoLimit, pairs, cancel,
-                              vectorized);
+                              inner_doc, run, op, kNoLimit, pairs, cancel);
         return pairs;
       },
       stats);
@@ -226,19 +200,9 @@ JoinPairs ShardedStructuralJoinPairs(
     const ShardedExec* ex, DocId ctx_doc, const Document& target_doc,
     std::span<const Pre> context, const StepSpec& step,
     const ElementIndex* index, ShardFanoutStats* stats,
-    const CancellationToken* cancel, bool vectorized) {
+    const CancellationToken* cancel) {
   return ShardedStructuralJoinParts(ex, ctx_doc, target_doc, context, step,
-                                    index, stats, cancel, vectorized)
-      .Merged();
-}
-
-JoinPairs ShardedHashValueJoinPairs(
-    const ShardedExec* ex, const Document& outer_doc,
-    std::span<const Pre> outer, const Document& inner_doc,
-    std::span<const Pre> inner, ShardFanoutStats* stats,
-    const CancellationToken* cancel, bool vectorized) {
-  return ShardedHashValueJoinParts(ex, outer_doc, outer, inner_doc, inner,
-                                   stats, cancel, vectorized)
+                                    index, stats, cancel)
       .Merged();
 }
 
@@ -246,21 +210,9 @@ JoinPairs ShardedHashValueJoinPairs(
     const ShardedExec* ex, const Document& outer_doc,
     const PreColumn& outer, const Document& inner_doc,
     std::span<const Pre> inner, ShardFanoutStats* stats,
-    const CancellationToken* cancel, bool vectorized) {
+    const CancellationToken* cancel) {
   return ShardedHashValueJoinParts(ex, outer_doc, outer, inner_doc, inner,
-                                   stats, cancel, vectorized)
-      .Merged();
-}
-
-JoinPairs ShardedValueIndexJoinPairs(
-    const ShardedExec* ex, const Document& outer_doc,
-    std::span<const Pre> outer, const Document& inner_doc,
-    const ValueIndex& inner_index, const ValueProbeSpec& spec,
-    ShardFanoutStats* stats, const CancellationToken* cancel,
-    bool vectorized) {
-  return ShardedValueIndexJoinParts(ex, outer_doc, outer, inner_doc,
-                                    inner_index, spec, stats, cancel,
-                                    vectorized)
+                                   stats, cancel)
       .Merged();
 }
 
@@ -268,11 +220,9 @@ JoinPairs ShardedValueIndexJoinPairs(
     const ShardedExec* ex, const Document& outer_doc,
     const PreColumn& outer, const Document& inner_doc,
     const ValueIndex& inner_index, const ValueProbeSpec& spec,
-    ShardFanoutStats* stats, const CancellationToken* cancel,
-    bool vectorized) {
+    ShardFanoutStats* stats, const CancellationToken* cancel) {
   return ShardedValueIndexJoinParts(ex, outer_doc, outer, inner_doc,
-                                    inner_index, spec, stats, cancel,
-                                    vectorized)
+                                    inner_index, spec, stats, cancel)
       .Merged();
 }
 

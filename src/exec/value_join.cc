@@ -39,25 +39,6 @@ bool MatchesProbeSpec(const Document& inner_doc, const ValueProbeSpec& spec,
          inner_doc.Name(inner_doc.Parent(s)) == spec.owner_elem;
 }
 
-// Emits matching inner nodes for one probe value through the index
-// (the row-at-a-time fallback path).
-template <typename Sink>
-bool ProbeIndex(const Document& inner_doc, const ValueIndex& index,
-                const ValueProbeSpec& spec, StringId value, Sink&& sink) {
-  if (value == kInvalidStringId) return true;
-  if (spec.kind == NodeKind::kText) {
-    for (Pre s : index.TextLookup(value)) {
-      if (!sink(s)) return false;
-    }
-    return true;
-  }
-  for (Pre s : index.AttrLookup(value)) {
-    if (!MatchesProbeSpec(inner_doc, spec, s)) continue;
-    if (!sink(s)) return false;
-  }
-  return true;
-}
-
 // Amortized governance poll: due once per kCancelCheckRows rows. The
 // first poll waits a full interval, so τ-sized sampling calls never
 // pay the token's clock read.
@@ -84,45 +65,18 @@ bool BatchBoundaryStop(size_t i0, const CancellationToken* cancel,
   return true;
 }
 
-// --- equi index probe -------------------------------------------------------
+}  // namespace
 
-void ValueIndexEquiScalar(const Document& outer_doc, const PreColumn& outer,
-                          const Document& inner_doc,
-                          const ValueIndex& inner_index,
-                          const ValueProbeSpec& spec, uint64_t limit,
-                          JoinPairs& out, const CancellationToken* cancel) {
-  for (size_t i = 0; i < outer.size(); ++i) {
-    if (CancelCheckDue(i + 1) && StopRequested(cancel)) {
-      out.truncated = true;
-      out.outer_consumed = i;
-      return;
-    }
-    uint32_t row = static_cast<uint32_t>(i);
-    StringId v = NodeValue(outer_doc, outer[i]);
-    bool completed =
-        ProbeIndex(inner_doc, inner_index, spec, v, [&](Pre s) -> bool {
-          out.left_rows.push_back(row);
-          out.right_nodes.push_back(s);
-          if (limit != kNoLimit && out.right_nodes.size() > limit) {
-            return false;
-          }
-          return !(CancelCheckDue(out.right_nodes.size()) &&
-                   StopRequested(cancel));
-        });
-    if (!completed) {
-      StampTruncationStop(out, limit, i);
-      return;
-    }
-  }
-  out.truncated = false;
-  out.outer_consumed = outer.size();
-}
-
-void ValueIndexEquiBatched(const Document& outer_doc, const PreColumn& outer,
-                           const Document& inner_doc,
-                           const ValueIndex& inner_index,
-                           const ValueProbeSpec& spec, uint64_t limit,
-                           JoinPairs& out, const CancellationToken* cancel) {
+void ValueIndexJoinPairsInto(const Document& outer_doc,
+                             const PreColumn& outer,
+                             const Document& inner_doc,
+                             const ValueIndex& inner_index,
+                             const ValueProbeSpec& spec, uint64_t limit,
+                             JoinPairs& out,
+                             const CancellationToken* cancel) {
+  // Same limit+1 sentinel protocol as StructuralJoinPairs.
+  out.Clear();
+  out.Reserve(limit != kNoLimit ? limit + 1 : outer.size());
   StringId vals[kKernelBatchRows];
   BatchEmitter em(out, limit, cancel);
   const bool text = spec.kind == NodeKind::kText;
@@ -155,38 +109,15 @@ void ValueIndexEquiBatched(const Document& outer_doc, const PreColumn& outer,
   out.outer_consumed = outer.size();
 }
 
-}  // namespace
-
-void ValueIndexJoinPairsInto(const Document& outer_doc,
-                             const PreColumn& outer,
-                             const Document& inner_doc,
-                             const ValueIndex& inner_index,
-                             const ValueProbeSpec& spec, uint64_t limit,
-                             JoinPairs& out,
-                             const CancellationToken* cancel,
-                             bool vectorized) {
-  // Same limit+1 sentinel protocol as StructuralJoinPairs.
-  out.Clear();
-  out.Reserve(limit != kNoLimit ? limit + 1 : outer.size());
-  if (vectorized) {
-    ValueIndexEquiBatched(outer_doc, outer, inner_doc, inner_index, spec,
-                          limit, out, cancel);
-  } else {
-    ValueIndexEquiScalar(outer_doc, outer, inner_doc, inner_index, spec,
-                         limit, out, cancel);
-  }
-}
-
 void ValueIndexJoinPairsInto(const Document& outer_doc,
                              std::span<const Pre> outer,
                              const Document& inner_doc,
                              const ValueIndex& inner_index,
                              const ValueProbeSpec& spec, uint64_t limit,
                              JoinPairs& out,
-                             const CancellationToken* cancel,
-                             bool vectorized) {
+                             const CancellationToken* cancel) {
   ValueIndexJoinPairsInto(outer_doc, PreColumn::FromSpan(outer), inner_doc,
-                          inner_index, spec, limit, out, cancel, vectorized);
+                          inner_index, spec, limit, out, cancel);
 }
 
 JoinPairs ValueIndexJoinPairs(const Document& outer_doc,
@@ -194,11 +125,10 @@ JoinPairs ValueIndexJoinPairs(const Document& outer_doc,
                               const Document& inner_doc,
                               const ValueIndex& inner_index,
                               const ValueProbeSpec& spec, uint64_t limit,
-                              const CancellationToken* cancel,
-                              bool vectorized) {
+                              const CancellationToken* cancel) {
   JoinPairs out;
   ValueIndexJoinPairsInto(outer_doc, outer, inner_doc, inner_index, spec,
-                          limit, out, cancel, vectorized);
+                          limit, out, cancel);
   return out;
 }
 
@@ -208,8 +138,7 @@ namespace {
 
 // The [begin, end) slice of the sorted run matching
 // `outer_value op inner_value` — the suffix of inner values above the
-// boundary for kLt/kLe, the prefix below it for kGt/kGe. Shared by the
-// scalar and batched paths so the boundary semantics cannot diverge.
+// boundary for kLt/kLe, the prefix below it for kGt/kGe.
 std::pair<size_t, size_t> RangeBounds(
     std::span<const ValueIndex::NumEntry> run, double v, CmpOp op) {
   auto val_less = [](const ValueIndex::NumEntry& e, double x) {
@@ -248,74 +177,24 @@ std::pair<size_t, size_t> RangeBounds(
   return {begin, end};
 }
 
-// Row-at-a-time theta probe (the fallback path), including the limit+1
+// The theta probe of both theta kernels, including the limit+1
 // truncation protocol of ValueIndexJoinPairsInto. `keep` filters inner
-// candidates (attribute-name restriction on index runs); `ne_nodes` /
-// `ne_value` provide the document-order candidate scan of `!=`.
+// candidates (attribute-name restriction on index runs; `keep_trivial`
+// — text runs and private ThetaRuns have no filter); `ne_nodes` /
+// `ne_value` provide the document-order candidate scan of `!=`. Per
+// batch, one value pre-pass materializes the interned ids and cached
+// numeric interpretations into flat arrays, a second flat loop
+// binary-searches all row boundaries, and the emission sweep
+// bulk-copies each row's contiguous run slice.
 template <typename Keep, typename NeValueOf>
-void ThetaProbeScalar(const Document& outer_doc, const PreColumn& outer,
-                      CmpOp op, uint64_t limit,
-                      std::span<const ValueIndex::NumEntry> run,
-                      const Keep& keep, std::span<const Pre> ne_nodes,
-                      const NeValueOf& ne_value, JoinPairs& out,
-                      const CancellationToken* cancel) {
-  const StringPool& pool = outer_doc.pool();
-  for (size_t i = 0; i < outer.size(); ++i) {
-    if (CancelCheckDue(i + 1) && StopRequested(cancel)) {
-      out.truncated = true;
-      out.outer_consumed = i;
-      return;
-    }
-    uint32_t row = static_cast<uint32_t>(i);
-    StringId v = NodeValue(outer_doc, outer[i]);
-    if (v == kInvalidStringId) continue;  // value-less rows never join
-    auto sink = [&](Pre s) -> bool {
-      out.left_rows.push_back(row);
-      out.right_nodes.push_back(s);
-      if (limit != kNoLimit && out.right_nodes.size() > limit) return false;
-      return !(CancelCheckDue(out.right_nodes.size()) &&
-               StopRequested(cancel));
-    };
-    bool completed = true;
-    if (op == CmpOp::kNe) {
-      for (Pre s : ne_nodes) {
-        if (!keep(s) || ne_value(s) == v) continue;
-        if (!sink(s)) {
-          completed = false;
-          break;
-        }
-      }
-    } else {
-      auto num = pool.NumericValue(v);
-      if (!num.has_value()) continue;  // non-numeric: no range match
-      auto [begin, end] = RangeBounds(run, *num, op);
-      for (size_t k = begin; k < end && completed; ++k) {
-        if (!keep(run[k].pre)) continue;
-        completed = sink(run[k].pre);
-      }
-    }
-    if (!completed) {
-      StampTruncationStop(out, limit, i);
-      return;
-    }
-  }
-  out.truncated = false;
-  out.outer_consumed = outer.size();
-}
-
-// Batched theta probe: per batch, one value pre-pass materializes the
-// interned ids and cached numeric interpretations into flat arrays, a
-// second flat loop binary-searches all row boundaries, and the
-// emission sweep bulk-copies each row's contiguous run slice
-// (`keep_trivial` — text runs and private ThetaRuns have no filter).
-template <typename Keep, typename NeValueOf>
-void ThetaProbeBatched(const Document& outer_doc, const PreColumn& outer,
-                       CmpOp op, uint64_t limit,
-                       std::span<const ValueIndex::NumEntry> run,
-                       const Keep& keep, bool keep_trivial,
-                       std::span<const Pre> ne_nodes,
-                       const NeValueOf& ne_value, JoinPairs& out,
-                       const CancellationToken* cancel) {
+void ThetaProbe(const Document& outer_doc, const PreColumn& outer, CmpOp op,
+                uint64_t limit, std::span<const ValueIndex::NumEntry> run,
+                const Keep& keep, bool keep_trivial,
+                std::span<const Pre> ne_nodes, const NeValueOf& ne_value,
+                JoinPairs& out, const CancellationToken* cancel) {
+  ROX_DCHECK(op != CmpOp::kEq);
+  out.Clear();
+  out.Reserve(limit != kNoLimit ? limit + 1 : outer.size());
   const StringPool& pool = outer_doc.pool();
   StringId vals[kKernelBatchRows];
   double nums[kKernelBatchRows];
@@ -381,27 +260,6 @@ void ThetaProbeBatched(const Document& outer_doc, const PreColumn& outer,
   out.outer_consumed = outer.size();
 }
 
-// Shared dispatch of both theta kernels.
-template <typename Keep, typename NeValueOf>
-void ThetaProbeLoop(const Document& outer_doc, const PreColumn& outer,
-                    CmpOp op, uint64_t limit,
-                    std::span<const ValueIndex::NumEntry> run,
-                    const Keep& keep, bool keep_trivial,
-                    std::span<const Pre> ne_nodes, const NeValueOf& ne_value,
-                    JoinPairs& out, const CancellationToken* cancel,
-                    bool vectorized) {
-  ROX_DCHECK(op != CmpOp::kEq);
-  out.Clear();
-  out.Reserve(limit != kNoLimit ? limit + 1 : outer.size());
-  if (vectorized) {
-    ThetaProbeBatched(outer_doc, outer, op, limit, run, keep, keep_trivial,
-                      ne_nodes, ne_value, out, cancel);
-  } else {
-    ThetaProbeScalar(outer_doc, outer, op, limit, run, keep, ne_nodes,
-                     ne_value, out, cancel);
-  }
-}
-
 }  // namespace
 
 ThetaRun ThetaRun::Build(const Document& inner_doc,
@@ -429,8 +287,7 @@ void ValueIndexThetaJoinPairsInto(const Document& outer_doc,
                                   const ValueIndex& inner_index,
                                   const ValueProbeSpec& spec, CmpOp op,
                                   uint64_t limit, JoinPairs& out,
-                                  const CancellationToken* cancel,
-                                  bool vectorized) {
+                                  const CancellationToken* cancel) {
   const bool text = spec.kind == NodeKind::kText;
   std::span<const ValueIndex::NumEntry> run =
       text ? inner_index.NumericTextRun() : inner_index.NumericAttrRun();
@@ -438,9 +295,8 @@ void ValueIndexThetaJoinPairsInto(const Document& outer_doc,
       text ? inner_index.AllTextNodes() : inner_index.AllAttrNodes();
   auto keep = [&](Pre s) { return MatchesProbeSpec(inner_doc, spec, s); };
   auto ne_value = [&](Pre s) { return inner_doc.Value(s); };
-  ThetaProbeLoop(outer_doc, PreColumn::FromSpan(outer), op, limit, run, keep,
-                 /*keep_trivial=*/text, all, ne_value, out, cancel,
-                 vectorized);
+  ThetaProbe(outer_doc, PreColumn::FromSpan(outer), op, limit, run, keep,
+             /*keep_trivial=*/text, all, ne_value, out, cancel);
 }
 
 JoinPairs ValueIndexThetaJoinPairs(const Document& outer_doc,
@@ -449,11 +305,10 @@ JoinPairs ValueIndexThetaJoinPairs(const Document& outer_doc,
                                    const ValueIndex& inner_index,
                                    const ValueProbeSpec& spec, CmpOp op,
                                    uint64_t limit,
-                                   const CancellationToken* cancel,
-                                   bool vectorized) {
+                                   const CancellationToken* cancel) {
   JoinPairs out;
   ValueIndexThetaJoinPairsInto(outer_doc, outer, inner_doc, inner_index,
-                               spec, op, limit, out, cancel, vectorized);
+                               spec, op, limit, out, cancel);
   return out;
 }
 
@@ -461,25 +316,24 @@ void ThetaRunJoinPairsInto(const Document& outer_doc,
                            std::span<const Pre> outer,
                            const Document& inner_doc, const ThetaRun& run,
                            CmpOp op, uint64_t limit, JoinPairs& out,
-                           const CancellationToken* cancel, bool vectorized) {
+                           const CancellationToken* cancel) {
   auto keep = [](Pre) { return true; };
   auto ne_value = [&](Pre s) { return NodeValue(inner_doc, s); };
-  ThetaProbeLoop(outer_doc, PreColumn::FromSpan(outer), op, limit,
-                 std::span<const ValueIndex::NumEntry>(run.numeric), keep,
-                 /*keep_trivial=*/true, run.valued, ne_value, out, cancel,
-                 vectorized);
+  ThetaProbe(outer_doc, PreColumn::FromSpan(outer), op, limit,
+             std::span<const ValueIndex::NumEntry>(run.numeric), keep,
+             /*keep_trivial=*/true, run.valued, ne_value, out, cancel);
 }
 
 JoinPairs SortThetaJoinPairs(const Document& outer_doc,
                              std::span<const Pre> outer,
                              const Document& inner_doc,
                              std::span<const Pre> inner, CmpOp op,
-                             uint64_t limit, const CancellationToken* cancel,
-                             bool vectorized) {
+                             uint64_t limit,
+                             const CancellationToken* cancel) {
   ThetaRun run = ThetaRun::Build(inner_doc, inner);
   JoinPairs out;
   ThetaRunJoinPairsInto(outer_doc, outer, inner_doc, run, op, limit, out,
-                        cancel, vectorized);
+                        cancel);
   return out;
 }
 
@@ -517,37 +371,11 @@ ValueHashTable::ValueHashTable(const Document& inner_doc,
   }
 }
 
-namespace {
-
-void HashProbeScalar(const ValueHashTable& table, const Document& outer_doc,
-                     const PreColumn& outer, JoinPairs& out,
-                     const CancellationToken* cancel) {
-  for (size_t i = 0; i < outer.size(); ++i) {
-    if (CancelCheckDue(i + 1) && StopRequested(cancel)) {
-      out.truncated = true;
-      out.outer_consumed = i;
-      return;
-    }
-    StringId v = NodeValue(outer_doc, outer[i]);
-    if (v == kInvalidStringId) continue;
-    for (Pre s : table.Lookup(v)) {
-      out.left_rows.push_back(static_cast<uint32_t>(i));
-      out.right_nodes.push_back(s);
-      // Skewed values can emit huge groups off one probe; poll on
-      // output growth too.
-      if (CancelCheckDue(out.right_nodes.size()) && StopRequested(cancel)) {
-        StampTruncationStop(out, kNoLimit, i);
-        return;
-      }
-    }
-  }
-  out.truncated = false;
-  out.outer_consumed = outer.size();
-}
-
-void HashProbeBatched(const ValueHashTable& table, const Document& outer_doc,
-                      const PreColumn& outer, JoinPairs& out,
-                      const CancellationToken* cancel) {
+void ValueHashTable::ProbeInto(const Document& outer_doc,
+                               const PreColumn& outer, JoinPairs& out,
+                               const CancellationToken* cancel) const {
+  out.Clear();
+  out.Reserve(outer.size());
   StringId vals[kKernelBatchRows];
   BatchEmitter em(out, kNoLimit, cancel);
   for (size_t i0 = 0; i0 < outer.size(); i0 += kKernelBatchRows) {
@@ -556,7 +384,7 @@ void HashProbeBatched(const ValueHashTable& table, const Document& outer_doc,
     BatchNodeValues(outer_doc, outer, i0, bn, vals);
     for (size_t b = 0; b < bn; ++b) {
       if (vals[b] == kInvalidStringId) continue;
-      std::span<const Pre> group = table.Lookup(vals[b]);
+      std::span<const Pre> group = Lookup(vals[b]);
       if (group.empty()) continue;
       if (em.Append(static_cast<uint32_t>(i0 + b), group) !=
           BatchEmitter::Stop::kNone) {
@@ -569,34 +397,17 @@ void HashProbeBatched(const ValueHashTable& table, const Document& outer_doc,
   out.outer_consumed = outer.size();
 }
 
-}  // namespace
-
-void ValueHashTable::ProbeInto(const Document& outer_doc,
-                               const PreColumn& outer, JoinPairs& out,
-                               const CancellationToken* cancel,
-                               bool vectorized) const {
-  out.Clear();
-  out.Reserve(outer.size());
-  if (vectorized) {
-    HashProbeBatched(*this, outer_doc, outer, out, cancel);
-  } else {
-    HashProbeScalar(*this, outer_doc, outer, out, cancel);
-  }
-}
-
 void ValueHashTable::ProbeInto(const Document& outer_doc,
                                std::span<const Pre> outer, JoinPairs& out,
-                               const CancellationToken* cancel,
-                               bool vectorized) const {
-  ProbeInto(outer_doc, PreColumn::FromSpan(outer), out, cancel, vectorized);
+                               const CancellationToken* cancel) const {
+  ProbeInto(outer_doc, PreColumn::FromSpan(outer), out, cancel);
 }
 
 JoinPairs ValueHashTable::Probe(const Document& outer_doc,
                                 std::span<const Pre> outer,
-                                const CancellationToken* cancel,
-                                bool vectorized) const {
+                                const CancellationToken* cancel) const {
   JoinPairs out;
-  ProbeInto(outer_doc, outer, out, cancel, vectorized);
+  ProbeInto(outer_doc, outer, out, cancel);
   return out;
 }
 
@@ -604,10 +415,8 @@ JoinPairs HashValueJoinPairs(const Document& outer_doc,
                              std::span<const Pre> outer,
                              const Document& inner_doc,
                              std::span<const Pre> inner,
-                             const CancellationToken* cancel,
-                             bool vectorized) {
-  return ValueHashTable(inner_doc, inner)
-      .Probe(outer_doc, outer, cancel, vectorized);
+                             const CancellationToken* cancel) {
+  return ValueHashTable(inner_doc, inner).Probe(outer_doc, outer, cancel);
 }
 
 // --- merge equi-join --------------------------------------------------------
@@ -631,8 +440,7 @@ JoinPairs MergeValueJoinPairs(const Document& outer_doc,
                               std::span<const Pre> outer_sorted,
                               const Document& inner_doc,
                               std::span<const Pre> inner_sorted,
-                              const CancellationToken* cancel,
-                              bool vectorized) {
+                              const CancellationToken* cancel) {
   JoinPairs out;
   out.Reserve(std::max(outer_sorted.size(), inner_sorted.size()));
   // Polled on advance steps and on output growth: equal-value groups
@@ -643,54 +451,9 @@ JoinPairs MergeValueJoinPairs(const Document& outer_doc,
     out.truncated = true;
     return true;
   };
-  size_t i = 0, j = 0;
-  if (!vectorized) {
-    while (i < outer_sorted.size() && j < inner_sorted.size()) {
-      if (tripped()) {
-        // Cancellation at an advance step: rows [0, i) are fully
-        // merged and all emitted pairs reference them.
-        out.outer_consumed = i;
-        return out;
-      }
-      StringId vo = NodeValue(outer_doc, outer_sorted[i]);
-      StringId vi = NodeValue(inner_doc, inner_sorted[j]);
-      if (vo == kInvalidStringId) break;  // rest of outer has no value
-      if (vi == kInvalidStringId) break;
-      if (vo < vi) {
-        ++i;
-      } else if (vo > vi) {
-        ++j;
-      } else {
-        // Emit the cross product of the two equal-value groups.
-        size_t j_end = j;
-        while (j_end < inner_sorted.size() &&
-               NodeValue(inner_doc, inner_sorted[j_end]) == vi) {
-          ++j_end;
-        }
-        while (i < outer_sorted.size() &&
-               NodeValue(outer_doc, outer_sorted[i]) == vo) {
-          for (size_t k = j; k < j_end; ++k) {
-            out.left_rows.push_back(static_cast<uint32_t>(i));
-            out.right_nodes.push_back(inner_sorted[k]);
-          }
-          if (tripped()) {
-            // Row i's group pairs were fully emitted before the poll.
-            out.outer_consumed = i + 1;
-            return out;
-          }
-          ++i;
-        }
-        j = j_end;
-      }
-    }
-    // Clean finish (including the no-more-values early exit: value-less
-    // rows never join, so every outer row counts as consumed).
-    out.outer_consumed = outer_sorted.size();
-    return out;
-  }
-  // Vectorized: one value pre-pass per side (one NodeValue per input
-  // row instead of one per merge comparison), then the merge runs over
-  // the flat id arrays and bulk-copies each group cross product.
+  // One value pre-pass per side (one NodeValue per input row instead of
+  // one per merge comparison), then the merge runs over the flat id
+  // arrays and bulk-copies each group cross product.
   std::vector<StringId> ov(outer_sorted.size());
   std::vector<StringId> iv(inner_sorted.size());
   for (size_t k = 0; k < outer_sorted.size(); ++k) {
@@ -699,8 +462,11 @@ JoinPairs MergeValueJoinPairs(const Document& outer_doc,
   for (size_t k = 0; k < inner_sorted.size(); ++k) {
     iv[k] = NodeValue(inner_doc, inner_sorted[k]);
   }
+  size_t i = 0, j = 0;
   while (i < outer_sorted.size() && j < inner_sorted.size()) {
     if (tripped()) {
+      // Cancellation at an advance step: rows [0, i) are fully merged
+      // and all emitted pairs reference them.
       out.outer_consumed = i;
       return out;
     }
@@ -729,6 +495,7 @@ JoinPairs MergeValueJoinPairs(const Document& outer_doc,
                                  inner_sorted.begin() + j_end);
         }
         if (tripped()) {
+          // Row i's group pairs were fully emitted before the poll.
           out.outer_consumed = i + 1;
           return out;
         }
@@ -737,6 +504,8 @@ JoinPairs MergeValueJoinPairs(const Document& outer_doc,
       j = j_end;
     }
   }
+  // Clean finish (including the no-more-values early exit: value-less
+  // rows never join, so every outer row counts as consumed).
   out.outer_consumed = outer_sorted.size();
   return out;
 }

@@ -19,7 +19,7 @@
 //         edge                one per full edge execution
 //           resample          (full) re-weigh events, children of edge
 //         assembly            Yannakakis-style final assembly
-//       gather                terminal column gather (lazy runs)
+//       gather                terminal column gather
 //       plan_tail             project/distinct/sort/project
 //
 // Ownership and threading: a trace belongs to exactly one query and is

@@ -3,7 +3,6 @@
 #include <algorithm>
 #include <cstdio>
 
-#include "common/check.h"
 #include "common/str_util.h"
 #include "engine/governor.h"
 #include "obs/trace.h"
@@ -169,7 +168,6 @@ Result<RoxResult> RoxOptimizer::Run() {
 
 Result<RoxViewResult> RoxOptimizer::RunView(
     std::span<const VertexId> output_vertices) {
-  ROX_CHECK(options_.lazy_materialization);
   ROX_RETURN_IF_ERROR(RunLoop());
   RoxViewResult out;
   {

@@ -79,23 +79,6 @@ struct RoxOptions {
   // identical either way; only wall-clock time changes.
   const ShardedExec* sharded = nullptr;
 
-  // Late materialization (DESIGN.md §8): edge executions and the final
-  // assembly keep intermediates as selection-vector views over arena-
-  // backed base columns, and full row gather happens once, at the plan
-  // tail. Results are byte-identical to the eager path; only wall-clock
-  // time and allocation volume change. The eager path is retained for
-  // differential testing and as the perf baseline of
-  // bench_materialization.
-  bool lazy_materialization = true;
-
-  // Vectorized batch kernels (DESIGN.md §14): join kernels process the
-  // outer input in fixed-size batches with a value pre-pass and bulk
-  // span emission instead of row-at-a-time probing. Results are
-  // byte-identical either way — the flag exists as the differential-
-  // testing fallback and the perf-ablation baseline, like
-  // lazy_materialization above.
-  bool vectorized_kernels = true;
-
   // Seed for all sampling randomness; a fixed seed makes runs exactly
   // reproducible.
   uint64_t seed = 0x9e3779b9;
@@ -118,11 +101,10 @@ struct RoxOptions {
   // before. The token is read-only here; the engine owns arming.
   const CancellationToken* cancel = nullptr;
 
-  // When non-null, every byte the run's column arena reserves and every
-  // eager pair-result materialization is charged here. The budget
-  // latches instead of failing allocations; the token above (which
-  // should observe the same budget) converts the latch into
-  // kResourceExhausted at the next checkpoint.
+  // When non-null, every byte the run's column arena reserves is
+  // charged here. The budget latches instead of failing allocations;
+  // the token above (which should observe the same budget) converts the
+  // latch into kResourceExhausted at the next checkpoint.
   MemoryBudget* budget = nullptr;
 };
 

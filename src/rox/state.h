@@ -59,15 +59,12 @@ struct RoxStats {
   uint64_t chain_rounds = 0;
   uint64_t sampled_tuples = 0;  // tuples produced by sampled operators
   // Σ of intermediate result sizes: every |R_e| plus every intermediate
-  // of the final assembly — the run's total intermediate volume (row
-  // counts are representation-independent: lazy and eager runs report
-  // identical values).
+  // of the final assembly — the run's total intermediate volume.
   uint64_t cumulative_intermediate_rows = 0;
   uint64_t peak_intermediate_rows = 0;
-  // Late-materialization gather counters (zero on eager runs, which
-  // copy at every step instead of gathering once).
+  // Late-materialization gather counters (DESIGN.md §8).
   GatherStats gather;
-  // Bytes held by the run's column arena (lazy runs only).
+  // Bytes held by the run's column arena.
   uint64_t arena_bytes = 0;
   std::vector<EdgeId> execution_order;
 
@@ -87,18 +84,13 @@ struct VertexState {
 struct EdgeState {
   double weight = -1.0;  // w(e); <0: unweighted
   bool executed = false;
-  // R_e: two columns [v1 nodes, v2 nodes]; absent for edges whose
-  // predicate was implied by transitivity and skipped. Eager runs
-  // materialize `result`; lazy runs keep `view` (a selection vector
-  // over arena-adopted base columns) instead.
-  std::optional<ResultTable> result;
+  // R_e: two columns [v1 nodes, v2 nodes] as a view (selection
+  // vectors over arena-adopted base columns); absent for edges whose
+  // predicate was implied by transitivity and skipped.
   std::optional<ResultView> view;
 
-  bool HasResult() const { return result.has_value() || view.has_value(); }
   uint64_t ResultRows() const {
-    if (result.has_value()) return result->NumRows();
-    if (view.has_value()) return view->NumRows();
-    return 0;
+    return view.has_value() ? view->NumRows() : 0;
   }
 };
 
@@ -143,12 +135,11 @@ class RoxState {
 
   // Joins all materialized pair results into the fully joined relation;
   // `columns` receives the vertex of each output column. Requires all
-  // edges executed and a connected graph. Under lazy materialization
-  // this assembles views and gathers every column once at the end;
-  // output is byte-identical to the eager assembly.
+  // edges executed and a connected graph: AssembleFinalView over every
+  // vertex, then one gather of every column.
   Result<ResultTable> AssembleFinal(std::vector<VertexId>* columns);
 
-  // Lazy-only: assembles the final relation as an un-gathered view over
+  // Assembles the final relation as an un-gathered view over
   // state-owned storage (valid until the state dies). `output_vertices`
   // are the vertices whose columns the caller will read — all other
   // columns may come out dead (never materialized, must not be read).
@@ -192,7 +183,7 @@ class RoxState {
   // The query's flight recorder, or null when tracing is off.
   obs::QueryTrace* query_trace() const { return options_.query_trace; }
 
-  // The per-query column arena backing lazy views (see result_view.h).
+  // The per-query column arena backing the views (see result_view.h).
   ColumnArena& arena() { return arena_; }
 
  private:
@@ -238,12 +229,12 @@ class RoxState {
   // Executes `e` between materialized sides, producing R_e.
   Status ExecuteEdgeInternal(EdgeId e);
 
-  // Lazy R_e construction: adopts the context table into the arena as
-  // the base of a selection-vector column and flattens the (possibly
+  // R_e construction: adopts the context table into the arena as the
+  // base of a selection-vector column and flattens the (possibly
   // multi-lane) filtered pair parts into arena columns, offset-adjusted
   // — no merged JoinPairs, no row-copying of the context column.
-  void StoreLazyResult(EdgeId e, std::span<const Pre> ctx_base,
-                       size_t ctx_col, ShardedJoinParts&& parts);
+  void StoreResult(EdgeId e, std::span<const Pre> ctx_base, size_t ctx_col,
+                   ShardedJoinParts&& parts);
 
   // Post-execution bookkeeping: refresh T/S/card of the edge endpoints
   // and re-sample weights of their incident edges (lines 14-19).
@@ -278,7 +269,7 @@ class RoxState {
   // the trace's per-edge payload (static strings only).
   const char* last_kernel_ = "";
 
-  // Arena backing lazy views (edge results, assembly intermediates).
+  // Arena backing the views (edge results, assembly intermediates).
   ColumnArena arena_;
   // Reused buffer of the sampled-execution loops (a RoxState runs one
   // query on one thread; sampled operators are never fanned out).

@@ -10,6 +10,7 @@
 
 #include "common/rng.h"
 #include "exec/result_table.h"
+#include "exec/result_view.h"
 #include "exec/structural_join.h"
 #include "exec/value_join.h"
 #include "index/corpus.h"
@@ -416,12 +417,13 @@ TEST(ResultTableTest, SortRowsLexicographic) {
   EXPECT_EQ(s.Col(1)[2], 1u);
 }
 
+// The semi-join reduction's column dedup, over a view of the table.
 TEST(ResultTableTest, DistinctColumn) {
   ResultTable t(1);
   t.AppendRow(std::vector<Pre>{5});
   t.AppendRow(std::vector<Pre>{3});
   t.AppendRow(std::vector<Pre>{5});
-  auto d = t.DistinctColumn(0);
+  auto d = ResultView::FromTable(t).DistinctColumn(0);
   EXPECT_EQ(d, (std::vector<Pre>{3, 5}));
 }
 

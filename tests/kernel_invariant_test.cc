@@ -1,17 +1,17 @@
 // Kernel-level truncation-invariant suite (DESIGN.md §14): every
 // pair-producing join kernel is driven through {clean finish, limit
-// trip, cancellation trip} on both the vectorized and the row-at-a-time
-// fallback path, asserting the cut-off protocol invariants:
+// trip, cancellation trip}, asserting:
 //
+//  * the clean run equals a nested-loop oracle of the kernel's
+//    semantics — the same pair multiset for every outer row — and
+//    keeps left_rows grouped (non-decreasing);
 //  * truncated and outer_consumed are mutually consistent
 //    (!truncated => outer_consumed == outer.size());
 //  * outer_consumed <= outer.size();
-//  * every emitted pair references a row < outer_consumed, and
-//    left_rows stay grouped (non-decreasing);
-//  * a limit trip (the sentinel) leaves exactly `limit` pairs;
-//  * vectorized and fallback are byte-identical for any limit and an
-//    un-tripped token (cancellation stop *points* may differ — only
-//    the invariants are compared there).
+//  * every emitted pair references a row < outer_consumed;
+//  * a limit trip (the sentinel) leaves exactly the first `limit` pairs
+//    of the clean run and counts the tripping row as consumed;
+//  * a cancellation trip keeps only whole rows.
 //
 // Plus regression cases for the pre-§14 accounting bugs: limit trips
 // under-reported outer_consumed when match-less rows preceded the
@@ -20,10 +20,13 @@
 
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <cstdint>
 #include <functional>
 #include <span>
 #include <string>
+#include <string_view>
+#include <utility>
 #include <vector>
 
 #include "common/check.h"
@@ -33,6 +36,7 @@
 #include "exec/structural_join.h"
 #include "exec/value_join.h"
 #include "index/corpus.h"
+#include "tests/reference_eval.h"
 
 namespace rox {
 namespace {
@@ -138,61 +142,127 @@ void ExpectIdentical(const JoinPairs& a, const JoinPairs& b,
   EXPECT_EQ(a.outer_consumed, b.outer_consumed) << what;
 }
 
-using Kernel =
-    std::function<JoinPairs(uint64_t limit, const CancellationToken*, bool)>;
+// Expected matches of every outer row, in any order within a row.
+using RowMatches = std::vector<std::vector<Pre>>;
 
-// The full case matrix for one kernel. `pairs_per_row` > 0 asserts the
-// sharp cancellation identity size == outer_consumed * pairs_per_row
-// for uniform-fanout inputs — which fails if a tripped run keeps a
-// partially-emitted row or counts it as consumed. `has_limit` is false
-// for the full-execution kernels that take no cut-off (hash, merge).
-void RunKernelMatrix(const Kernel& run, size_t outer_n, size_t pairs_per_row,
-                     bool has_limit, const char* what) {
+// The kernel output regrouped per outer row, each row's nodes sorted.
+RowMatches ByRow(const JoinPairs& p, size_t outer_n) {
+  RowMatches out(outer_n);
+  for (size_t k = 0; k < p.size(); ++k) {
+    out[p.left_rows[k]].push_back(p.right_nodes[k]);
+  }
+  for (std::vector<Pre>& row : out) std::sort(row.begin(), row.end());
+  return out;
+}
+
+// --- nested-loop oracles ----------------------------------------------------
+
+// Structural: every node of `window(c)` that NodeMatchesStep accepts.
+template <typename Window>
+RowMatches StructuralOracle(const Document& doc, std::span<const Pre> context,
+                            const StepSpec& step, const Window& window) {
+  RowMatches out(context.size());
+  for (size_t i = 0; i < context.size(); ++i) {
+    auto [lo, hi] = window(context[i]);
+    for (Pre s = lo; s <= hi; ++s) {
+      if (NodeMatchesStep(doc, context[i], s, step)) out[i].push_back(s);
+    }
+  }
+  return out;
+}
+
+// Downward axes reach only the context's own pre/size window.
+auto SubtreeWindow(const Document& doc) {
+  return [&doc](Pre c) { return std::make_pair(c, c + doc.Size(c)); };
+}
+
+// Value joins: every inner candidate whose value compares true against
+// the outer row's text value, by the reference evaluator's rule.
+RowMatches ValueOracle(const Document& outer_doc, std::span<const Pre> outer,
+                       const Document& inner_doc,
+                       std::span<const Pre> candidates, CmpOp op) {
+  RowMatches out(outer.size());
+  for (size_t i = 0; i < outer.size(); ++i) {
+    std::string_view v = outer_doc.ValueStr(outer[i]);
+    for (Pre s : candidates) {
+      if (reference::CompareValues(v, op, inner_doc.ValueStr(s))) {
+        out[i].push_back(s);
+      }
+    }
+    std::sort(out[i].begin(), out[i].end());
+  }
+  return out;
+}
+
+// The nodes of `doc` of `kind`, optionally restricted to name `name`.
+std::vector<Pre> NodesOf(const Document& doc, NodeKind kind,
+                         std::string_view name = {}) {
+  std::vector<Pre> out;
+  for (Pre p = 0; p < doc.NodeCount(); ++p) {
+    if (doc.Kind(p) == kind && (name.empty() || doc.NameStr(p) == name)) {
+      out.push_back(p);
+    }
+  }
+  return out;
+}
+
+using Kernel =
+    std::function<JoinPairs(uint64_t limit, const CancellationToken*)>;
+
+// The full case matrix for one kernel. `expected` is the oracle's
+// per-row matches. `pairs_per_row` > 0 asserts the sharp cancellation
+// identity size == outer_consumed * pairs_per_row for uniform-fanout
+// inputs — which fails if a tripped run keeps a partially-emitted row
+// or counts it as consumed. `has_limit` is false for the
+// full-execution kernels that take no cut-off (hash, merge).
+void RunKernelMatrix(const Kernel& run, const RowMatches& expected,
+                     size_t pairs_per_row, bool has_limit, const char* what) {
   SCOPED_TRACE(what);
-  // Clean finish, both paths, byte-identical.
-  JoinPairs scalar = run(kNoLimit, nullptr, false);
-  JoinPairs vec = run(kNoLimit, nullptr, true);
-  CheckInvariants(scalar, outer_n);
-  CheckInvariants(vec, outer_n);
-  EXPECT_FALSE(scalar.truncated);
-  ExpectIdentical(scalar, vec, "clean");
-  const uint64_t total = scalar.size();
+  const size_t outer_n = expected.size();
+  JoinPairs clean = run(kNoLimit, nullptr);
+  CheckInvariants(clean, outer_n);
+  EXPECT_FALSE(clean.truncated);
+  EXPECT_EQ(ByRow(clean, outer_n), expected);
+  const uint64_t total = clean.size();
+  EXPECT_GT(total, 0u);
   if (pairs_per_row > 0) {
     EXPECT_EQ(total, outer_n * pairs_per_row);
   }
 
   if (has_limit) {
-    // Limit trips (and limits the result fits under).
+    // Limit trips (and limits the result fits under): the first
+    // `limit` pairs of the clean run.
     for (uint64_t limit : {uint64_t{1}, uint64_t{7}, uint64_t{64},
                            uint64_t{1000}, total, total + 10}) {
       SCOPED_TRACE("limit=" + std::to_string(limit));
-      JoinPairs s = run(limit, nullptr, false);
-      JoinPairs v = run(limit, nullptr, true);
-      CheckInvariants(s, outer_n);
+      JoinPairs v = run(limit, nullptr);
       CheckInvariants(v, outer_n);
-      EXPECT_EQ(s.truncated, limit < total);
-      if (s.truncated) {
-        EXPECT_EQ(s.size(), limit);
+      EXPECT_EQ(v.truncated, limit < total);
+      if (!v.truncated) {
+        ExpectIdentical(v, clean, "limit above the result");
+        continue;
       }
-      ExpectIdentical(s, v, "limit");
+      ASSERT_EQ(v.size(), limit);
+      EXPECT_TRUE(std::equal(v.left_rows.begin(), v.left_rows.end(),
+                             clean.left_rows.begin()));
+      EXPECT_TRUE(std::equal(v.right_nodes.begin(), v.right_nodes.end(),
+                             clean.right_nodes.begin()));
+      // The sentinel was the clean run's pair #limit: its row counts.
+      EXPECT_EQ(v.outer_consumed, clean.left_rows[limit] + 1u);
     }
   }
 
   // Cancellation trips: a pre-tripped token stops through the same
-  // truncation protocol. Stop points may legitimately differ between
-  // the two paths, so each is checked against the invariants alone.
-  for (bool vectorized : {false, true}) {
-    SCOPED_TRACE(vectorized ? "cancel/vectorized" : "cancel/fallback");
-    CancellationToken tok;
-    tok.Cancel();
-    JoinPairs c = run(kNoLimit, &tok, vectorized);
-    CheckInvariants(c, outer_n);
-    if (total > kCancelCheckRows) {
-      EXPECT_TRUE(c.truncated);
-    }
-    if (c.truncated && pairs_per_row > 0) {
-      EXPECT_EQ(c.size(), c.outer_consumed * pairs_per_row);
-    }
+  // truncation protocol, keeping only whole rows.
+  CancellationToken tok;
+  tok.Cancel();
+  JoinPairs c = run(kNoLimit, &tok);
+  CheckInvariants(c, outer_n);
+  if (total > kCancelCheckRows) {
+    EXPECT_TRUE(c.truncated);
+  }
+  if (c.truncated && pairs_per_row > 0) {
+    EXPECT_EQ(c.size(), c.outer_consumed * pairs_per_row);
   }
 }
 
@@ -204,10 +274,11 @@ TEST(KernelInvariantTest, StructuralDescendantIndexed) {
   const ElementIndex* idx = &sf.corpus.element_index(sf.id);
   StepSpec step = StepSpec::Descendant(sf.corpus.Find("x"));
   RunKernelMatrix(
-      [&](uint64_t limit, const CancellationToken* c, bool v) {
-        return StructuralJoinPairs(doc, sf.context, step, limit, idx, c, v);
+      [&](uint64_t limit, const CancellationToken* c) {
+        return StructuralJoinPairs(doc, sf.context, step, limit, idx, c);
       },
-      sf.context.size(), 2, true, "descendant::x (bulk index range)");
+      StructuralOracle(doc, sf.context, step, SubtreeWindow(doc)), 2, true,
+      "descendant::x (bulk index range)");
 }
 
 TEST(KernelInvariantTest, StructuralChildSink) {
@@ -216,10 +287,11 @@ TEST(KernelInvariantTest, StructuralChildSink) {
   const ElementIndex* idx = &sf.corpus.element_index(sf.id);
   StepSpec step = StepSpec::Child(sf.corpus.Find("x"));
   RunKernelMatrix(
-      [&](uint64_t limit, const CancellationToken* c, bool v) {
-        return StructuralJoinPairs(doc, sf.context, step, limit, idx, c, v);
+      [&](uint64_t limit, const CancellationToken* c) {
+        return StructuralJoinPairs(doc, sf.context, step, limit, idx, c);
       },
-      sf.context.size(), 2, true, "child::x (per-match sink)");
+      StructuralOracle(doc, sf.context, step, SubtreeWindow(doc)), 2, true,
+      "child::x (per-match sink)");
 }
 
 TEST(KernelInvariantTest, StructuralDescendantOrSelfEmitsSelf) {
@@ -232,38 +304,43 @@ TEST(KernelInvariantTest, StructuralDescendantOrSelfEmitsSelf) {
   StepSpec step{Axis::kDescendantOrSelf, KindTest::kElem,
                 sf.corpus.Find("p")};
   RunKernelMatrix(
-      [&](uint64_t limit, const CancellationToken* c, bool v) {
-        return StructuralJoinPairs(doc, sf.context, step, limit, idx, c, v);
+      [&](uint64_t limit, const CancellationToken* c) {
+        return StructuralJoinPairs(doc, sf.context, step, limit, idx, c);
       },
-      sf.context.size(), 1, true, "descendant-or-self::p (self pairs)");
+      StructuralOracle(doc, sf.context, step, SubtreeWindow(doc)), 1, true,
+      "descendant-or-self::p (self pairs)");
 }
 
 TEST(KernelInvariantTest, StructuralFollowingLimitAndCancel) {
   // following::x explodes quadratically (~2 * kRows pairs from row 0
   // alone), so the bulk suffix-range path is exercised under limits and
-  // cancellation only — never to completion.
+  // cancellation only — never to completion. Row 0 alone yields more
+  // than the largest limit, so its whole-document scan is the oracle.
   const StructFixture& sf = SF();
   const Document& doc = sf.corpus.doc(sf.id);
   const ElementIndex* idx = &sf.corpus.element_index(sf.id);
   StepSpec step{Axis::kFollowing, KindTest::kElem, sf.corpus.Find("x")};
+  std::span<const Pre> row0(sf.context.data(), 1);
+  std::vector<Pre> row0_matches = StructuralOracle(
+      doc, row0, step, [&](Pre) {
+        return std::make_pair(Pre{0}, doc.NodeCount() - 1);
+      })[0];
   for (uint64_t limit : {uint64_t{1}, uint64_t{1000}}) {
-    JoinPairs s = StructuralJoinPairs(doc, sf.context, step, limit, idx,
-                                      nullptr, false);
-    JoinPairs v = StructuralJoinPairs(doc, sf.context, step, limit, idx,
-                                      nullptr, true);
-    CheckInvariants(s, sf.context.size());
-    EXPECT_TRUE(s.truncated);
-    EXPECT_EQ(s.size(), limit);
-    ExpectIdentical(s, v, "following limit");
+    ASSERT_GT(row0_matches.size(), limit);
+    JoinPairs v = StructuralJoinPairs(doc, sf.context, step, limit, idx);
+    CheckInvariants(v, sf.context.size());
+    EXPECT_TRUE(v.truncated);
+    EXPECT_EQ(v.size(), limit);
+    EXPECT_EQ(v.outer_consumed, 1u);
+    EXPECT_EQ(v.right_nodes, std::vector<Pre>(row0_matches.begin(),
+                                              row0_matches.begin() + limit));
   }
-  for (bool vectorized : {false, true}) {
-    CancellationToken tok;
-    tok.Cancel();
-    JoinPairs c = StructuralJoinPairs(doc, sf.context, step, kNoLimit, idx,
-                                      &tok, vectorized);
-    CheckInvariants(c, sf.context.size());
-    EXPECT_TRUE(c.truncated);
-  }
+  CancellationToken tok;
+  tok.Cancel();
+  JoinPairs c = StructuralJoinPairs(doc, sf.context, step, kNoLimit, idx,
+                                    &tok);
+  CheckInvariants(c, sf.context.size());
+  EXPECT_TRUE(c.truncated);
 }
 
 TEST(KernelInvariantTest, ValueIndexEquiText) {
@@ -272,14 +349,15 @@ TEST(KernelInvariantTest, ValueIndexEquiText) {
   const Document& rdoc = vf.corpus.doc(vf.right);
   const ValueIndex& vidx = vf.corpus.value_index(vf.right);
   RunKernelMatrix(
-      [&](uint64_t limit, const CancellationToken* c, bool v) {
+      [&](uint64_t limit, const CancellationToken* c) {
         JoinPairs out;
         ValueIndexJoinPairsInto(ldoc, std::span<const Pre>(vf.outer), rdoc,
-                                vidx, ValueProbeSpec::Text(), limit, out, c,
-                                v);
+                                vidx, ValueProbeSpec::Text(), limit, out, c);
         return out;
       },
-      kRows, kDup, true, "index-nl equi, text spec");
+      ValueOracle(ldoc, vf.outer, rdoc, NodesOf(rdoc, NodeKind::kText),
+                  CmpOp::kEq),
+      kDup, true, "index-nl equi, text spec");
 }
 
 TEST(KernelInvariantTest, ValueIndexEquiAttr) {
@@ -289,30 +367,34 @@ TEST(KernelInvariantTest, ValueIndexEquiAttr) {
   const ValueIndex& vidx = vf.corpus.value_index(vf.right);
   ValueProbeSpec spec = ValueProbeSpec::Attr(vf.corpus.Find("v"));
   RunKernelMatrix(
-      [&](uint64_t limit, const CancellationToken* c, bool v) {
+      [&](uint64_t limit, const CancellationToken* c) {
         JoinPairs out;
         ValueIndexJoinPairsInto(ldoc, std::span<const Pre>(vf.outer), rdoc,
-                                vidx, spec, limit, out, c, v);
+                                vidx, spec, limit, out, c);
         return out;
       },
-      kRows, 1, true, "index-nl equi, attr spec");
+      ValueOracle(ldoc, vf.outer, rdoc, NodesOf(rdoc, NodeKind::kAttr, "v"),
+                  CmpOp::kEq),
+      1, true, "index-nl equi, attr spec");
 }
+
+constexpr CmpOp kThetaOps[] = {CmpOp::kLt, CmpOp::kLe, CmpOp::kGt,
+                               CmpOp::kGe, CmpOp::kNe};
 
 TEST(KernelInvariantTest, ValueIndexTheta) {
   const ValueFixture& vf = VF();
   const Document& ldoc = vf.corpus.doc(vf.left);
   const Document& rdoc = vf.corpus.doc(vf.right);
   const ValueIndex& vidx = vf.corpus.value_index(vf.right);
-  for (CmpOp op :
-       {CmpOp::kLt, CmpOp::kLe, CmpOp::kGt, CmpOp::kGe, CmpOp::kNe}) {
+  for (CmpOp op : kThetaOps) {
     RunKernelMatrix(
-        [&](uint64_t limit, const CancellationToken* c, bool v) {
+        [&](uint64_t limit, const CancellationToken* c) {
           return ValueIndexThetaJoinPairs(ldoc, vf.outer, rdoc, vidx,
                                           ValueProbeSpec::Text(), op, limit,
-                                          c, v);
+                                          c);
         },
-        kRows, 0, true,
-        ("index theta op=" + std::to_string(static_cast<int>(op))).c_str());
+        ValueOracle(ldoc, vf.outer, rdoc, NodesOf(rdoc, NodeKind::kText), op),
+        0, true, (std::string("index theta op ") + CmpOpName(op)).c_str());
   }
 }
 
@@ -320,15 +402,14 @@ TEST(KernelInvariantTest, SortTheta) {
   const ValueFixture& vf = VF();
   const Document& ldoc = vf.corpus.doc(vf.left);
   const Document& rdoc = vf.corpus.doc(vf.right);
-  for (CmpOp op :
-       {CmpOp::kLt, CmpOp::kLe, CmpOp::kGt, CmpOp::kGe, CmpOp::kNe}) {
+  for (CmpOp op : kThetaOps) {
     RunKernelMatrix(
-        [&](uint64_t limit, const CancellationToken* c, bool v) {
+        [&](uint64_t limit, const CancellationToken* c) {
           return SortThetaJoinPairs(ldoc, vf.outer, rdoc, vf.inner_texts, op,
-                                    limit, c, v);
+                                    limit, c);
         },
-        kRows, 0, true,
-        ("sort theta op=" + std::to_string(static_cast<int>(op))).c_str());
+        ValueOracle(ldoc, vf.outer, rdoc, vf.inner_texts, op), 0, true,
+        (std::string("sort theta op ") + CmpOpName(op)).c_str());
   }
 }
 
@@ -337,10 +418,11 @@ TEST(KernelInvariantTest, HashProbe) {
   const Document& ldoc = vf.corpus.doc(vf.left);
   const Document& rdoc = vf.corpus.doc(vf.right);
   RunKernelMatrix(
-      [&](uint64_t, const CancellationToken* c, bool v) {
-        return HashValueJoinPairs(ldoc, vf.outer, rdoc, vf.inner_texts, c, v);
+      [&](uint64_t, const CancellationToken* c) {
+        return HashValueJoinPairs(ldoc, vf.outer, rdoc, vf.inner_texts, c);
       },
-      kRows, kDup, /*has_limit=*/false, "hash equi probe");
+      ValueOracle(ldoc, vf.outer, rdoc, vf.inner_texts, CmpOp::kEq), kDup,
+      /*has_limit=*/false, "hash equi probe");
 }
 
 TEST(KernelInvariantTest, Merge) {
@@ -350,10 +432,11 @@ TEST(KernelInvariantTest, Merge) {
   std::vector<Pre> os = SortByValueId(ldoc, vf.outer);
   std::vector<Pre> is = SortByValueId(rdoc, vf.inner_texts);
   RunKernelMatrix(
-      [&](uint64_t, const CancellationToken* c, bool v) {
-        return MergeValueJoinPairs(ldoc, os, rdoc, is, c, v);
+      [&](uint64_t, const CancellationToken* c) {
+        return MergeValueJoinPairs(ldoc, os, rdoc, is, c);
       },
-      kRows, kDup, /*has_limit=*/false, "merge equi join");
+      ValueOracle(ldoc, os, rdoc, is, CmpOp::kEq), kDup, /*has_limit=*/false,
+      "merge equi join");
 }
 
 // --- regression cases for the pre-fix accounting ----------------------------
@@ -372,16 +455,14 @@ TEST(KernelInvariantTest, EquiLimitCountsMatchlessPrefix) {
   const Document& ldoc = c.doc(*l);
   std::vector<Pre> outer = TextNodes(ldoc);
   ASSERT_EQ(outer.size(), 6u);
-  for (bool vectorized : {false, true}) {
-    JoinPairs out;
-    ValueIndexJoinPairsInto(ldoc, std::span<const Pre>(outer), c.doc(*r),
-                            c.value_index(*r), ValueProbeSpec::Text(),
-                            /*limit=*/3, out, nullptr, vectorized);
-    EXPECT_TRUE(out.truncated);
-    EXPECT_EQ(out.size(), 3u);  // all from row 0; row 5's pair was the sentinel
-    EXPECT_EQ(out.outer_consumed, 6u);
-    CheckInvariants(out, outer.size());
-  }
+  JoinPairs out;
+  ValueIndexJoinPairsInto(ldoc, std::span<const Pre>(outer), c.doc(*r),
+                          c.value_index(*r), ValueProbeSpec::Text(),
+                          /*limit=*/3, out);
+  EXPECT_TRUE(out.truncated);
+  EXPECT_EQ(out.size(), 3u);  // all from row 0; row 5's pair was the sentinel
+  EXPECT_EQ(out.outer_consumed, 6u);
+  CheckInvariants(out, outer.size());
 }
 
 // Same shape through the theta probe loop: non-numeric rows between the
@@ -397,20 +478,17 @@ TEST(KernelInvariantTest, ThetaLimitCountsMatchlessPrefix) {
   std::vector<Pre> outer = TextNodes(ldoc);
   std::vector<Pre> inner = TextNodes(rdoc);
   ASSERT_EQ(outer.size(), 6u);
-  for (bool vectorized : {false, true}) {
-    JoinPairs idx = ValueIndexThetaJoinPairs(
-        ldoc, outer, rdoc, c.value_index(*r), ValueProbeSpec::Text(),
-        CmpOp::kLt, /*limit=*/3, nullptr, vectorized);
-    EXPECT_TRUE(idx.truncated);
-    EXPECT_EQ(idx.size(), 3u);
-    EXPECT_EQ(idx.outer_consumed, 6u);
-    CheckInvariants(idx, outer.size());
+  JoinPairs idx = ValueIndexThetaJoinPairs(
+      ldoc, outer, rdoc, c.value_index(*r), ValueProbeSpec::Text(),
+      CmpOp::kLt, /*limit=*/3);
+  EXPECT_TRUE(idx.truncated);
+  EXPECT_EQ(idx.size(), 3u);
+  EXPECT_EQ(idx.outer_consumed, 6u);
+  CheckInvariants(idx, outer.size());
 
-    JoinPairs sorted = SortThetaJoinPairs(ldoc, outer, rdoc, inner,
-                                          CmpOp::kLt, /*limit=*/3, nullptr,
-                                          vectorized);
-    ExpectIdentical(idx, sorted, "index vs sort theta");
-  }
+  JoinPairs sorted = SortThetaJoinPairs(ldoc, outer, rdoc, inner, CmpOp::kLt,
+                                        /*limit=*/3);
+  ExpectIdentical(idx, sorted, "index vs sort theta");
 }
 
 // MergeValueJoinPairs formerly returned from its group cross-product
@@ -423,18 +501,16 @@ TEST(KernelInvariantTest, MergeCancellationKeepsPairsWithinConsumedPrefix) {
   const Document& rdoc = vf.corpus.doc(vf.right);
   std::vector<Pre> os = SortByValueId(ldoc, vf.outer);
   std::vector<Pre> is = SortByValueId(rdoc, vf.inner_texts);
-  for (bool vectorized : {false, true}) {
-    CancellationToken tok;
-    tok.Cancel();
-    JoinPairs p = MergeValueJoinPairs(ldoc, os, rdoc, is, &tok, vectorized);
-    EXPECT_TRUE(p.truncated);
-    EXPECT_GT(p.outer_consumed, 0u);
-    EXPECT_LT(p.outer_consumed, os.size());
-    // Every sorted row matches exactly kDup inner nodes, so a correct
-    // stop leaves exactly the consumed prefix's pairs.
-    EXPECT_EQ(p.size(), p.outer_consumed * kDup);
-    CheckInvariants(p, os.size());
-  }
+  CancellationToken tok;
+  tok.Cancel();
+  JoinPairs p = MergeValueJoinPairs(ldoc, os, rdoc, is, &tok);
+  EXPECT_TRUE(p.truncated);
+  EXPECT_GT(p.outer_consumed, 0u);
+  EXPECT_LT(p.outer_consumed, os.size());
+  // Every sorted row matches exactly kDup inner nodes, so a correct
+  // stop leaves exactly the consumed prefix's pairs.
+  EXPECT_EQ(p.size(), p.outer_consumed * kDup);
+  CheckInvariants(p, os.size());
 }
 
 // The merge's value-less-tail early exit is a clean finish: value-less
@@ -451,18 +527,17 @@ TEST(KernelInvariantTest, MergeValuelessTailCountsAsConsumed) {
   ASSERT_EQ(outer.size(), 4u);
   std::vector<Pre> os = SortByValueId(ldoc, outer);
   std::vector<Pre> is = SortByValueId(rdoc, TextNodes(rdoc));
-  JoinPairs scalar = MergeValueJoinPairs(ldoc, os, rdoc, is, nullptr, false);
-  JoinPairs vec = MergeValueJoinPairs(ldoc, os, rdoc, is, nullptr, true);
-  EXPECT_EQ(scalar.size(), 2u);
-  EXPECT_FALSE(scalar.truncated);
-  EXPECT_EQ(scalar.outer_consumed, 4u);
-  ExpectIdentical(scalar, vec, "value-less tail");
+  JoinPairs merged = MergeValueJoinPairs(ldoc, os, rdoc, is);
+  EXPECT_EQ(merged.left_rows, (std::vector<uint32_t>{0, 1}));
+  EXPECT_EQ(merged.right_nodes, (std::vector<Pre>{is[0], is[0]}));
+  EXPECT_FALSE(merged.truncated);
+  EXPECT_EQ(merged.outer_consumed, 4u);
 }
 
 // --- selection-vector entry points ------------------------------------------
 
 // A PreColumn with a selection vector must produce exactly what the
-// gathered copy of the same rows produces, on both kernel paths.
+// gathered copy of the same rows produces.
 TEST(KernelInvariantTest, PreColumnSelectionMatchesGather) {
   const ValueFixture& vf = VF();
   const Document& ldoc = vf.corpus.doc(vf.left);
@@ -476,23 +551,19 @@ TEST(KernelInvariantTest, PreColumnSelectionMatchesGather) {
   for (uint32_t s : sel) gathered.push_back(vf.outer[s]);
 
   ValueHashTable table(rdoc, vf.inner_texts);
-  for (bool vectorized : {false, true}) {
-    for (uint64_t limit : {kNoLimit, uint64_t{100}}) {
-      JoinPairs a, b;
-      ValueIndexJoinPairsInto(ldoc, col, rdoc, vidx, ValueProbeSpec::Text(),
-                              limit, a, nullptr, vectorized);
-      ValueIndexJoinPairsInto(ldoc, std::span<const Pre>(gathered), rdoc,
-                              vidx, ValueProbeSpec::Text(), limit, b, nullptr,
-                              vectorized);
-      ExpectIdentical(a, b, "equi precolumn");
-      CheckInvariants(a, sel.size());
-    }
+  for (uint64_t limit : {kNoLimit, uint64_t{100}}) {
     JoinPairs a, b;
-    table.ProbeInto(ldoc, col, a, nullptr, vectorized);
-    table.ProbeInto(ldoc, std::span<const Pre>(gathered), b, nullptr,
-                    vectorized);
-    ExpectIdentical(a, b, "hash precolumn");
+    ValueIndexJoinPairsInto(ldoc, col, rdoc, vidx, ValueProbeSpec::Text(),
+                            limit, a);
+    ValueIndexJoinPairsInto(ldoc, std::span<const Pre>(gathered), rdoc, vidx,
+                            ValueProbeSpec::Text(), limit, b);
+    ExpectIdentical(a, b, "equi precolumn");
+    CheckInvariants(a, sel.size());
   }
+  JoinPairs a, b;
+  table.ProbeInto(ldoc, col, a);
+  table.ProbeInto(ldoc, std::span<const Pre>(gathered), b);
+  ExpectIdentical(a, b, "hash precolumn");
 }
 
 TEST(KernelInvariantTest, StructuralPreColumnMatchesGather) {
@@ -505,16 +576,13 @@ TEST(KernelInvariantTest, StructuralPreColumnMatchesGather) {
   PreColumn col{sf.context.data(), sel.data(), sel.size()};
   std::vector<Pre> gathered;
   for (uint32_t s : sel) gathered.push_back(sf.context[s]);
-  for (bool vectorized : {false, true}) {
-    for (uint64_t limit : {kNoLimit, uint64_t{33}}) {
-      JoinPairs a, b;
-      StructuralJoinPairsInto(doc, col, step, limit, idx, a, nullptr,
-                              vectorized);
-      StructuralJoinPairsInto(doc, std::span<const Pre>(gathered), step,
-                              limit, idx, b, nullptr, vectorized);
-      ExpectIdentical(a, b, "structural precolumn");
-      CheckInvariants(a, sel.size());
-    }
+  for (uint64_t limit : {kNoLimit, uint64_t{33}}) {
+    JoinPairs a, b;
+    StructuralJoinPairsInto(doc, col, step, limit, idx, a);
+    StructuralJoinPairsInto(doc, std::span<const Pre>(gathered), step, limit,
+                            idx, b);
+    ExpectIdentical(a, b, "structural precolumn");
+    CheckInvariants(a, sel.size());
   }
 }
 
@@ -526,20 +594,15 @@ TEST(KernelInvariantTest, IntoVariantsClearReusedBuffers) {
   const Document& ldoc = vf.corpus.doc(vf.left);
   const Document& rdoc = vf.corpus.doc(vf.right);
   const ValueIndex& vidx = vf.corpus.value_index(vf.right);
-  for (bool vectorized : {false, true}) {
-    JoinPairs reused, fresh;
-    ValueIndexJoinPairsInto(ldoc, std::span<const Pre>(vf.outer), rdoc, vidx,
-                            ValueProbeSpec::Text(), /*limit=*/5, reused,
-                            nullptr, vectorized);
-    EXPECT_TRUE(reused.truncated);
-    ValueIndexJoinPairsInto(ldoc, std::span<const Pre>(vf.outer), rdoc, vidx,
-                            ValueProbeSpec::Text(), kNoLimit, reused, nullptr,
-                            vectorized);
-    ValueIndexJoinPairsInto(ldoc, std::span<const Pre>(vf.outer), rdoc, vidx,
-                            ValueProbeSpec::Text(), kNoLimit, fresh, nullptr,
-                            vectorized);
-    ExpectIdentical(reused, fresh, "buffer reuse");
-  }
+  JoinPairs reused, fresh;
+  ValueIndexJoinPairsInto(ldoc, std::span<const Pre>(vf.outer), rdoc, vidx,
+                          ValueProbeSpec::Text(), /*limit=*/5, reused);
+  EXPECT_TRUE(reused.truncated);
+  ValueIndexJoinPairsInto(ldoc, std::span<const Pre>(vf.outer), rdoc, vidx,
+                          ValueProbeSpec::Text(), kNoLimit, reused);
+  ValueIndexJoinPairsInto(ldoc, std::span<const Pre>(vf.outer), rdoc, vidx,
+                          ValueProbeSpec::Text(), kNoLimit, fresh);
+  ExpectIdentical(reused, fresh, "buffer reuse");
 }
 
 }  // namespace

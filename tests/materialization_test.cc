@@ -1,11 +1,14 @@
 // Late materialization correctness (DESIGN.md §8): the view layer must
-// reproduce the eager ResultTable operators byte for byte, and whole
-// query runs — including cut-off/approximate execution and sharded
-// fan-out — must return identical result sequences with
-// lazy_materialization on and off.
+// reproduce the row-copying ResultTable operators byte for byte, and
+// whole query runs — including cut-off/approximate execution, sharded
+// fan-out and the engine — must return the reference evaluator's
+// result sequences (tests/reference_eval.h). In test names, "Eager" is
+// the side that materializes everything up front: a full-copy operator
+// or the reference evaluator.
 
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <string>
 #include <vector>
 
@@ -19,6 +22,7 @@
 #include "exec/result_table.h"
 #include "exec/result_view.h"
 #include "index/sharded_corpus.h"
+#include "tests/reference_eval.h"
 #include "workload/dblp.h"
 #include "workload/xmark.h"
 #include "xq/compile.h"
@@ -114,16 +118,43 @@ TEST(ResultViewTest, JoinMatchesEager) {
   }
 }
 
+// DistinctColumn against eager std::sort + std::unique of the gathered
+// column: direct columns and selection-vector columns, heavy
+// duplicates (domains far below the row count), and empty views.
 TEST(ResultViewTest, DistinctColumnMatchesEager) {
   Rng rng(4);
-  ResultTable t = RandomTable(rng, 2, 300, 25);
-  std::vector<uint32_t> rows;
-  for (uint32_t i = 0; i < t.NumRows(); i += 3) rows.push_back(i);
+  auto sort_unique = [](const ResultView& v, size_t c) {
+    std::vector<Pre> col;
+    v.GatherColumnInto(c, col, nullptr);
+    std::sort(col.begin(), col.end());
+    col.erase(std::unique(col.begin(), col.end()), col.end());
+    return col;
+  };
+  for (int round = 0; round < 40; ++round) {
+    // Half the rounds draw from at most 8 distinct nodes.
+    uint64_t domain = 1 + rng.Below(round < 20 ? 8 : 500);
+    ResultTable t =
+        RandomTable(rng, 2, rng.Below(3000), static_cast<uint32_t>(domain));
+    std::vector<uint32_t> rows;
+    for (uint64_t i = 0; i < t.NumRows(); ++i) {
+      if (rng.Below(2) == 0) {
+        rows.push_back(static_cast<uint32_t>(rng.Below(t.NumRows())));
+      }
+    }
+    ColumnArena arena;
+    ResultView direct = ResultView::FromTable(t);
+    ResultView selected = SelectRowsView(direct, rows, arena);
+    for (size_t c = 0; c < 2; ++c) {
+      EXPECT_EQ(direct.DistinctColumn(c), sort_unique(direct, c));
+      EXPECT_EQ(selected.DistinctColumn(c), sort_unique(selected, c));
+    }
+  }
+  ResultTable empty(1);
   ColumnArena arena;
-  ResultView v = SelectRowsView(ResultView::FromTable(t), rows, arena);
-  ResultTable eager = t.SelectRows(rows);
-  EXPECT_EQ(v.DistinctColumn(0), eager.DistinctColumn(0));
-  EXPECT_EQ(v.DistinctColumn(1), eager.DistinctColumn(1));
+  EXPECT_TRUE(ResultView::FromTable(empty).DistinctColumn(0).empty());
+  EXPECT_TRUE(SelectRowsView(ResultView::FromTable(empty), {}, arena)
+                  .DistinctColumn(0)
+                  .empty());
 }
 
 TEST(ResultViewTest, DeadColumnsAreElidedButLiveOnesSurvive) {
@@ -221,94 +252,117 @@ std::vector<std::string> DifferentialQueries() {
   return queries;
 }
 
-std::vector<Pre> RunWithOptions(const Corpus& corpus, const std::string& q,
-                                RoxOptions rox, bool lazy,
-                                RoxStats* stats = nullptr) {
-  rox.lazy_materialization = lazy;
+std::vector<Pre> RunQuery(const Corpus& corpus, const std::string& q,
+                          const RoxOptions& rox) {
   auto compiled = xq::CompileXQuery(corpus, q);
   EXPECT_TRUE(compiled.ok()) << compiled.status().ToString();
-  auto items = xq::RunXQuery(corpus, *compiled, rox, stats);
+  if (!compiled.ok()) return {};
+  auto items = xq::RunXQuery(corpus, *compiled, rox);
   EXPECT_TRUE(items.ok()) << items.status().ToString();
   return items.ok() ? *items : std::vector<Pre>{};
+}
+
+std::vector<Pre> Oracle(const Corpus& corpus, const std::string& q) {
+  auto want = reference::Evaluate(q, reference::DocsOf(corpus));
+  EXPECT_TRUE(want.ok()) << want.status().ToString();
+  return want.ok() ? *want : std::vector<Pre>{};
+}
+
+// The oracle's sequence for every DifferentialQueries() entry.
+std::vector<std::vector<Pre>> ExpectedAll(const Corpus& corpus) {
+  std::vector<std::vector<Pre>> out;
+  for (const std::string& q : DifferentialQueries()) {
+    out.push_back(Oracle(corpus, q));
+  }
+  return out;
 }
 
 TEST(MaterializationDifferentialTest, LazyMatchesEagerOnAllQueries) {
   Corpus corpus = TestCorpus();
   RoxOptions rox;
   rox.seed = 99;
-  size_t i = 0;
-  for (const std::string& q : DifferentialQueries()) {
-    RoxStats lazy_stats;
-    std::vector<Pre> eager = RunWithOptions(corpus, q, rox, false);
-    std::vector<Pre> lazy = RunWithOptions(corpus, q, rox, true, &lazy_stats);
-    EXPECT_EQ(eager, lazy) << "query #" << i;
-    // Row-count accounting is representation-independent.
-    RoxStats eager_stats;
-    RunWithOptions(corpus, q, rox, false, &eager_stats);
-    EXPECT_EQ(eager_stats.peak_intermediate_rows,
-              lazy_stats.peak_intermediate_rows)
+  const std::vector<std::string> queries = DifferentialQueries();
+  const std::vector<std::vector<Pre>> expected = ExpectedAll(corpus);
+  size_t nonempty = 0;
+  for (size_t i = 0; i < queries.size(); ++i) {
+    EXPECT_EQ(RunQuery(corpus, queries[i], rox), expected[i])
         << "query #" << i;
-    ++i;
+    nonempty += !expected[i].empty();
   }
+  // The suite must not degenerate into all-empty comparisons.
+  EXPECT_GT(nonempty, queries.size() / 2);
+}
+
+// True iff `sub` is a subsequence of `seq`.
+bool IsSubsequence(const std::vector<Pre>& sub, const std::vector<Pre>& seq) {
+  size_t k = 0;
+  for (size_t i = 0; i < seq.size() && k < sub.size(); ++i) {
+    if (seq[i] == sub[k]) ++k;
+  }
+  return k == sub.size();
 }
 
 TEST(MaterializationDifferentialTest, CutOffAndApproximateRunsMatch) {
   Corpus corpus = TestCorpus();
+  const std::vector<std::string> queries = DifferentialQueries();
+  const std::vector<std::vector<Pre>> expected = ExpectedAll(corpus);
   // Tiny tau forces truncated (cut-off) sampled executions everywhere;
+  // the result must still be exact.
+  RoxOptions cut_off;
+  cut_off.seed = 1234;
+  cut_off.tau = 15;
   // approximate_fraction materializes sampled subsets of every vertex
-  // table. Same seed -> both modes must still agree exactly.
-  RoxOptions rox;
-  rox.seed = 1234;
-  rox.tau = 15;
-  rox.approximate_fraction = 0.5;
-  for (const std::string& q : DifferentialQueries()) {
-    EXPECT_EQ(RunWithOptions(corpus, q, rox, false),
-              RunWithOptions(corpus, q, rox, true));
+  // table: every tuple it returns is a true one, so its sequence is a
+  // subsequence of the exact one.
+  RoxOptions approximate = cut_off;
+  approximate.approximate_fraction = 0.5;
+  for (size_t i = 0; i < queries.size(); ++i) {
+    EXPECT_EQ(RunQuery(corpus, queries[i], cut_off), expected[i])
+        << "query #" << i;
+    EXPECT_TRUE(IsSubsequence(RunQuery(corpus, queries[i], approximate),
+                              expected[i]))
+        << "query #" << i;
   }
 }
 
 TEST(MaterializationDifferentialTest, ShardedLazyMatchesUnshardedEager) {
   Corpus corpus = TestCorpus();
-  RoxOptions rox;
-  rox.seed = 4321;
+  const std::vector<std::string> queries = DifferentialQueries();
+  const std::vector<std::vector<Pre>> expected = ExpectedAll(corpus);
   for (size_t shards : {1u, 4u}) {
     ThreadPool pool(shards);
     ShardedCorpus sc(corpus, shards, &pool);
     ShardedExec ex;
     ex.shards = &sc;
     ex.pool = &pool;
-    for (const std::string& q : DifferentialQueries()) {
-      RoxOptions sharded_rox = rox;
-      sharded_rox.sharded = &ex;
-      RoxStats stats;
-      std::vector<Pre> lazy_sharded =
-          RunWithOptions(corpus, q, sharded_rox, true, &stats);
-      EXPECT_EQ(RunWithOptions(corpus, q, rox, false), lazy_sharded)
-          << shards << " shards";
+    RoxOptions rox;
+    rox.seed = 4321;
+    rox.sharded = &ex;
+    for (size_t i = 0; i < queries.size(); ++i) {
+      EXPECT_EQ(RunQuery(corpus, queries[i], rox), expected[i])
+          << shards << " shards, query #" << i;
     }
   }
 }
 
-TEST(MaterializationDifferentialTest, EngineFlagKeepsResultsIdentical) {
-  std::vector<std::shared_ptr<const std::vector<Pre>>> results;
-  for (bool lazy : {false, true}) {
-    engine::EngineOptions opts;
-    opts.num_threads = 2;
-    opts.lazy_materialization = lazy;
-    opts.cache_results = false;
-    engine::Engine engine(TestCorpus(), opts);
-    auto r = engine.Run(XmarkQuery(145, true));
-    ASSERT_TRUE(r.ok()) << r.status.ToString();
-    results.push_back(r.items);
-    if (lazy) {
-      EXPECT_GT(r.rox_stats.gather.gather_count, 0u);
-      EXPECT_GT(engine.Stats().gather_count, 0u);
-    }
-  }
-  EXPECT_EQ(*results[0], *results[1]);
+TEST(MaterializationDifferentialTest, EngineMatchesOracle) {
+  engine::EngineOptions opts;
+  opts.num_threads = 2;
+  opts.cache_results = false;
+  engine::Engine engine(TestCorpus(), opts);
+  const std::string query = XmarkQuery(145, true);
+  auto r = engine.Run(query);
+  ASSERT_TRUE(r.ok()) << r.status.ToString();
+  EXPECT_EQ(*r.items, Oracle(*engine.CurrentSnapshot(), query));
+  // The plan tail gathers the for-variable columns exactly once.
+  EXPECT_GT(r.rox_stats.gather.gather_count, 0u);
+  EXPECT_GT(engine.Stats().gather_count, 0u);
 }
 
-TEST(MaterializationDifferentialTest, ClassicalExecutorLazyMatchesEager) {
+// The classical executor's join sizes against the histogram join-size
+// calculator, which counts Σ_v Π f_i(v) from the author-value
+// histograms without executing a plan.
+TEST(MaterializationDifferentialTest, ClassicalExecutorMatchesHistogramSizes) {
   std::vector<bench::Combo> combos = bench::SampleCombos(1, 5);
   ASSERT_FALSE(combos.empty());
   DblpGenOptions gen;
@@ -316,18 +370,17 @@ TEST(MaterializationDifferentialTest, ClassicalExecutorLazyMatchesEager) {
   auto corpus = bench::ComboCorpus(combos[0], gen);
   ASSERT_TRUE(corpus.ok());
   std::vector<DocId> docs = {0, 1, 2, 3};
-  CanonicalPlanExecutor eager(*corpus, docs, nullptr, /*lazy=*/false);
-  CanonicalPlanExecutor lazy(*corpus, docs, nullptr, /*lazy=*/true);
+  CanonicalPlanExecutor executor(*corpus, docs);
   int checked = 0;
-  for (const JoinOrder& order : EnumerateJoinOrders4()) {
+  for (const OrderCardinality& oc : ComputeOrderCardinalities(*corpus, docs)) {
     if (++checked > 4) break;  // a few orders x all placements suffice
     for (StepPlacement p : kAllPlacements) {
-      auto re = eager.Run(order, p);
-      auto rl = lazy.Run(order, p);
-      ASSERT_TRUE(re.ok() && rl.ok());
-      EXPECT_EQ(re->join_result_sizes, rl->join_result_sizes);
-      EXPECT_EQ(re->cumulative_join_rows, rl->cumulative_join_rows);
-      EXPECT_EQ(re->result_rows, rl->result_rows);
+      auto run = executor.Run(oc.order, p);
+      ASSERT_TRUE(run.ok()) << run.status().ToString();
+      EXPECT_EQ(run->join_result_sizes, oc.join_sizes)
+          << oc.order.Label() << " / " << StepPlacementName(p);
+      EXPECT_EQ(run->cumulative_join_rows, oc.cumulative);
+      EXPECT_EQ(run->result_rows, oc.join_sizes.back());
     }
   }
 }

@@ -5,6 +5,7 @@
 
 #include <cmath>
 #include <map>
+#include <ostream>
 
 #include "classical/rox_order.h"
 #include "rox/optimizer.h"
@@ -123,6 +124,11 @@ struct AblationCase {
   const char* name;
   RoxOptions options;
 };
+
+// Printed as its name. The default printer dumps the struct's bytes —
+// the name pointer, which moves with ASLR, and uninitialized padding —
+// into the test name that ctest registers.
+void PrintTo(const AblationCase& c, std::ostream* os) { *os << c.name; }
 
 class RoxAblationTest : public ::testing::TestWithParam<AblationCase> {};
 

@@ -182,7 +182,8 @@ TEST(ShardedExecTest, ValueJoinFanoutsMatchSequential) {
 
   JoinPairs seq_hash = HashValueJoinPairs(doc, outer, doc, inner);
   JoinPairs fan_hash =
-      ShardedHashValueJoinPairs(&ex, doc, outer, doc, inner, nullptr);
+      ShardedHashValueJoinPairs(&ex, doc, PreColumn::FromSpan(outer), doc,
+                                inner, nullptr);
   EXPECT_EQ(fan_hash.left_rows, seq_hash.left_rows);
   EXPECT_EQ(fan_hash.right_nodes, seq_hash.right_nodes);
 
@@ -190,7 +191,8 @@ TEST(ShardedExecTest, ValueJoinFanoutsMatchSequential) {
   JoinPairs seq_nl = ValueIndexJoinPairs(doc, outer, doc,
                                          corpus.value_index(0), spec);
   JoinPairs fan_nl = ShardedValueIndexJoinPairs(
-      &ex, doc, outer, doc, corpus.value_index(0), spec, nullptr);
+      &ex, doc, PreColumn::FromSpan(outer), doc, corpus.value_index(0), spec,
+      nullptr);
   EXPECT_EQ(fan_nl.left_rows, seq_nl.left_rows);
   EXPECT_EQ(fan_nl.right_nodes, seq_nl.right_nodes);
 }

@@ -2,12 +2,12 @@
 // (DESIGN.md §10), plus the TSan-targeted publish/read race test.
 //
 // The differential suite interleaves AddDocuments/RemoveDocument with
-// concurrent RunBatch over generated XMark-/DBLP-flavored queries;
-// every result must byte-match a fresh single-epoch Engine built from
-// that query's pinned snapshot. The reference engine deliberately runs
-// the *other* materialization mode, a single shard, no cache, and a
-// different optimizer seed, so one comparison covers live-vs-fresh,
-// lazy-vs-eager, sharded-vs-unsharded and seed independence at once.
+// concurrent RunBatch over generated XMark-/DBLP-flavored queries.
+// Every OK result must byte-match the reference evaluator
+// (tests/reference_eval.h) over the documents of that query's pinned
+// snapshot — a ground truth sharing no code with the engine. A fresh
+// single-shard, uncached engine over the same snapshot, with a
+// different optimizer seed, must agree on every status code.
 //
 // Environment knobs (the CI sanitizer legs raise the iteration count):
 //   ROX_FUZZ_ITERS      iterations per configuration (default 40)
@@ -40,6 +40,7 @@
 #include "engine/engine.h"
 #include "index/corpus.h"
 #include "obs/trace.h"
+#include "tests/reference_eval.h"
 
 namespace rox {
 namespace {
@@ -146,7 +147,7 @@ std::string MakeQuery(Rng& rng, const NameBook& names) {
   // Non-equality operators for the theta-join cases (DESIGN.md §11).
   static const char* kThetaOps[] = {"<", "<=", ">", ">=", "!="};
   const char* theta_op = kThetaOps[rng.Below(5)];
-  switch (rng.Below(9)) {
+  switch (rng.Below(10)) {
     case 0:
       return "for $p in doc(\"" + n1 + "\")//person return $p";
     case 1:
@@ -178,6 +179,11 @@ std::string MakeQuery(Rng& rng, const NameBook& names) {
       return "for $b in doc(\"" + n1 + "\")//personref, $p in doc(\"" + n2 +
              "\")//person where $b/@person " + theta_op +
              " $p/@id return $b";
+    case 8:
+      // let-bound document and a conjunctive step predicate.
+      return "let $d := doc(\"" + n1 + "\") for $o in $d//open_auction[" +
+             "./current >= " + std::to_string(rng.Below(100)) +
+             " and ./bidder] return $o";
     default:
       // Disjunctive step predicate over the numeric current values.
       return "for $o in doc(\"" + n1 + "\")//open_auction[./current < " +
@@ -188,43 +194,37 @@ std::string MakeQuery(Rng& rng, const NameBook& names) {
 
 // --- the differential harness ----------------------------------------------
 
-struct FuzzConfig {
-  size_t shards;
-  bool lazy;
-};
-
-std::string Describe(const FuzzConfig& cfg, uint64_t iter,
-                     const std::string& query) {
-  return "shards=" + std::to_string(cfg.shards) +
-         " lazy=" + std::to_string(cfg.lazy) +
-         " iter=" + std::to_string(iter) + " query=[" + query + "]";
+std::string Describe(size_t shards, uint64_t iter, const std::string& query) {
+  return "shards=" + std::to_string(shards) + " iter=" +
+         std::to_string(iter) + " query=[" + query + "]";
 }
 
-void RunDifferentialFuzz(const FuzzConfig& cfg) {
+std::string Outcome(const engine::QueryResult& r) {
+  return r.ok() ? std::to_string(r.items->size()) + " items"
+                : r.status.ToString();
+}
+
+void RunDifferentialFuzz(size_t shards) {
   const uint64_t seed = EnvU64("ROX_FUZZ_SEED", kDefaultSeed);
   const uint64_t iters = EnvU64("ROX_FUZZ_ITERS", 40);
-  Rng rng(seed ^ (cfg.shards * 0x9e3779b97f4a7c15ULL) ^
-          (cfg.lazy ? 0x1337 : 0));
+  Rng rng(seed ^ (shards * 0x9e3779b97f4a7c15ULL));
 
   engine::EngineOptions live_opts;
   live_opts.num_threads = 4;
-  live_opts.num_shards = cfg.shards;
-  live_opts.lazy_materialization = cfg.lazy;
+  live_opts.num_shards = shards;
   live_opts.rox.tau = 20;
   live_opts.rox.seed = seed;
   // Record spans on every live query: any mismatch dumps the trace,
-  // and running traced against an untraced reference differentially
-  // proves tracing changes no results.
+  // and checking traced runs against the oracle proves tracing changes
+  // no results.
   live_opts.trace_level = obs::TraceLevel::kSpans;
 
-  // The reference runs everything the live engine does NOT: other
-  // materialization mode, one shard, no cache, fresh seed.
+  // The status reference runs what the live engine does not: one
+  // shard, no cache, a fresh seed.
   engine::EngineOptions ref_opts;
   ref_opts.num_threads = 1;
   ref_opts.num_shards = 1;
   ref_opts.enable_cache = false;
-  ref_opts.lazy_materialization = !cfg.lazy;
-  ref_opts.rox.lazy_materialization = !cfg.lazy;
   ref_opts.rox.tau = 20;
 
   NameBook names;
@@ -287,8 +287,8 @@ void RunDifferentialFuzz(const FuzzConfig& cfg) {
     std::vector<engine::QueryResult> results = batch.get();
     ASSERT_EQ(results.size(), queries.size());
 
-    // Differential check: a fresh single-epoch engine per distinct
-    // pinned snapshot must reproduce each result byte-identically.
+    // Every OK result must equal the oracle over its pinned snapshot;
+    // a fresh single-epoch engine per snapshot must agree on status.
     std::map<uint64_t, std::unique_ptr<engine::Engine>> refs;
     for (size_t i = 0; i < results.size(); ++i) {
       const engine::QueryResult& r = results[i];
@@ -307,18 +307,22 @@ void RunDifferentialFuzz(const FuzzConfig& cfg) {
         ++error_results;
       }
       engine::QueryResult rr = ref->Run(queries[i]);
-      if (r.ok() != rr.ok() ||
-          (r.ok() && *r.items != *rr.items) ||
-          (!r.ok() && r.status.code() != rr.status.code())) {
-        DumpSeed(seed, Describe(cfg, iter, queries[i]));
-        DumpTrace(r, Describe(cfg, iter, queries[i]));
-        FAIL() << "differential mismatch at " << Describe(cfg, iter, queries[i])
-               << "\n  live: "
-               << (r.ok() ? std::to_string(r.items->size()) + " items"
-                          : r.status.ToString())
-               << " (epoch " << r.epoch << ")\n  ref:  "
-               << (rr.ok() ? std::to_string(rr.items->size()) + " items"
-                           : rr.status.ToString());
+      std::string oracle_outcome;
+      bool mismatch = r.status.code() != rr.status.code();
+      if (r.ok()) {
+        auto want = reference::Evaluate(queries[i],
+                                        reference::DocsOf(*r.snapshot));
+        oracle_outcome = want.ok() ? std::to_string(want->size()) + " items"
+                                   : want.status().ToString();
+        mismatch = mismatch || !want.ok() || *r.items != *want;
+      }
+      if (mismatch) {
+        const std::string where = Describe(shards, iter, queries[i]);
+        DumpSeed(seed, where);
+        DumpTrace(r, where);
+        FAIL() << "differential mismatch at " << where << "\n  live:   "
+               << Outcome(r) << " (epoch " << r.epoch << ")\n  oracle: "
+               << oracle_outcome << "\n  status reference: " << Outcome(rr);
       }
     }
   }
@@ -335,21 +339,10 @@ void RunDifferentialFuzz(const FuzzConfig& cfg) {
   EXPECT_EQ(live.CurrentEpoch(), expected_publishes);
 }
 
-TEST(SnapshotFuzzTest, DifferentialShards1LazyOn) {
-  RunDifferentialFuzz({.shards = 1, .lazy = true});
-}
+// The engine's lazy view executor against the reference evaluator.
+TEST(SnapshotFuzzTest, DifferentialShards1LazyOn) { RunDifferentialFuzz(1); }
 
-TEST(SnapshotFuzzTest, DifferentialShards1LazyOff) {
-  RunDifferentialFuzz({.shards = 1, .lazy = false});
-}
-
-TEST(SnapshotFuzzTest, DifferentialShards4LazyOn) {
-  RunDifferentialFuzz({.shards = 4, .lazy = true});
-}
-
-TEST(SnapshotFuzzTest, DifferentialShards4LazyOff) {
-  RunDifferentialFuzz({.shards = 4, .lazy = false});
-}
+TEST(SnapshotFuzzTest, DifferentialShards4LazyOn) { RunDifferentialFuzz(4); }
 
 // --- governed differential fuzz (DESIGN.md §13) ------------------------------
 //
@@ -358,9 +351,9 @@ TEST(SnapshotFuzzTest, DifferentialShards4LazyOff) {
 // neither, while this thread publishes new documents underneath the
 // batch and occasionally fires KillAll. The properties under test:
 //
-//   1. A governed query that completes OK is byte-identical to an
-//      ungoverned reference run against its pinned snapshot — limits
-//      that don't trip must be invisible.
+//   1. A governed query that completes OK is byte-identical to the
+//      reference evaluator over its pinned snapshot — limits that
+//      don't trip must be invisible.
 //   2. A query stopped by governance reports exactly one of
 //      kCancelled / kDeadlineExceeded / kResourceExhausted.
 //   3. The engine survives: later ungoverned queries still work, and
@@ -378,11 +371,6 @@ TEST(SnapshotFuzzTest, GovernedQueriesUnderConcurrentPublishes) {
   live_opts.num_threads = 4;
   live_opts.rox.tau = 20;
   live_opts.rox.seed = seed;
-
-  engine::EngineOptions ref_opts;
-  ref_opts.num_threads = 1;
-  ref_opts.enable_cache = false;
-  ref_opts.rox.tau = 20;
 
   NameBook names;
   Corpus corpus;
@@ -448,11 +436,9 @@ TEST(SnapshotFuzzTest, GovernedQueriesUnderConcurrentPublishes) {
       if (r.ok()) {
         ++ok_results;
         ASSERT_NE(r.snapshot, nullptr);
-        engine::EngineOptions opts = ref_opts;
-        opts.rox.seed = seed * 7919 + iter * 131 + i;
-        engine::Engine ref(r.snapshot, opts);
-        engine::QueryResult rr = ref.Run(queries[i]);
-        if (!rr.ok() || *r.items != *rr.items) {
+        auto want = reference::Evaluate(queries[i],
+                                        reference::DocsOf(*r.snapshot));
+        if (!want.ok() || *r.items != *want) {
           DumpSeed(seed, context);
           FAIL() << "governed OK result diverges from oracle at " << context;
         }

@@ -5,10 +5,11 @@
 //    walks, so the whole stack (parser, compiler, kernels, sampling,
 //    assembly, plan tail) cannot agree on a shared wrong answer;
 //  * a randomized differential suite — generated range-/inequality-
-//    join queries over the XMark + DBLP workloads, byte-compared
-//    across {eager, lazy} × {1, 4 shards} and against the classical
-//    static-plan executor, which shares the kernels but none of the
-//    run-time sampling machinery.
+//    join queries over the XMark + DBLP workloads, run unsharded, on
+//    4 shards and through the classical static-plan executor (which
+//    shares the kernels but none of the run-time sampling machinery),
+//    each byte-compared against the reference evaluator
+//    (tests/reference_eval.h).
 
 #include <gtest/gtest.h>
 
@@ -23,6 +24,7 @@
 #include "common/rng.h"
 #include "common/thread_pool.h"
 #include "index/sharded_corpus.h"
+#include "tests/reference_eval.h"
 #include "workload/dblp.h"
 #include "workload/xmark.h"
 #include "xq/compile.h"
@@ -66,12 +68,11 @@ Corpus TestCorpus() {
 }
 
 std::vector<Pre> RunMode(const Corpus& corpus,
-                         const xq::CompiledQuery& compiled, bool lazy,
+                         const xq::CompiledQuery& compiled,
                          const ShardedExec* ex, uint64_t tau = 20) {
   RoxOptions rox;
   rox.seed = 77;
   rox.tau = tau;
-  rox.lazy_materialization = lazy;
   rox.sharded = ex;
   auto items = xq::RunXQuery(corpus, compiled, rox);
   EXPECT_TRUE(items.ok()) << items.status().ToString();
@@ -178,7 +179,7 @@ TEST_F(ThetaJoinOracleTest, QuantityIncreaseMatchesBruteForce) {
     auto compiled =
         xq::CompileXQuery(corpus_, XmarkQuantityIncreaseQuery(op));
     ASSERT_TRUE(compiled.ok()) << compiled.status().ToString();
-    std::vector<Pre> got = RunMode(corpus_, *compiled, true, nullptr);
+    std::vector<Pre> got = RunMode(corpus_, *compiled, nullptr);
     EXPECT_EQ(got, expected) << "op " << CmpOpName(op);
     EXPECT_FALSE(got.empty()) << "op " << CmpOpName(op);
   }
@@ -221,7 +222,7 @@ TEST_F(ThetaJoinOracleTest, DisjunctiveQuantityMatchesBruteForce) {
   auto compiled =
       xq::CompileXQuery(corpus_, XmarkDisjunctiveQuantityQuery(1, 4));
   ASSERT_TRUE(compiled.ok()) << compiled.status().ToString();
-  std::vector<Pre> got = RunMode(corpus_, *compiled, true, nullptr);
+  std::vector<Pre> got = RunMode(corpus_, *compiled, nullptr);
   EXPECT_EQ(got, expected);
   EXPECT_FALSE(got.empty());
 
@@ -230,7 +231,7 @@ TEST_F(ThetaJoinOracleTest, DisjunctiveQuantityMatchesBruteForce) {
   auto single = [&](int q) {
     auto c = xq::CompileXQuery(corpus_, XmarkDisjunctiveQuantityQuery(q, q));
     ROX_CHECK_OK(c.status());
-    return RunMode(corpus_, *c, true, nullptr);
+    return RunMode(corpus_, *c, nullptr);
   };
   EXPECT_EQ(single(1).size() + single(4).size(), got.size());
 }
@@ -280,15 +281,15 @@ TEST(ThetaJoinDifferentialTest, ModesAndShardsAndStaticPlansAgree) {
   for (const std::string& q : queries) {
     auto compiled = xq::CompileXQuery(corpus, q);
     ASSERT_TRUE(compiled.ok()) << compiled.status().ToString() << "\n" << q;
-    std::vector<Pre> baseline = RunMode(corpus, *compiled, false, nullptr);
-    nonempty += !baseline.empty();
-    EXPECT_EQ(baseline, RunMode(corpus, *compiled, true, nullptr)) << q;
-    EXPECT_EQ(baseline, RunMode(corpus, *compiled, false, &ex)) << q;
-    EXPECT_EQ(baseline, RunMode(corpus, *compiled, true, &ex)) << q;
+    auto expected = reference::Evaluate(q, reference::DocsOf(corpus));
+    ASSERT_TRUE(expected.ok()) << expected.status().ToString() << "\n" << q;
+    nonempty += !expected->empty();
+    EXPECT_EQ(*expected, RunMode(corpus, *compiled, nullptr)) << q;
+    EXPECT_EQ(*expected, RunMode(corpus, *compiled, &ex)) << q;
     auto statically = RunStaticXQuery(corpus, *compiled);
     ASSERT_TRUE(statically.ok()) << statically.status().ToString() << "\n"
                                  << q;
-    EXPECT_EQ(baseline, *statically) << q;
+    EXPECT_EQ(*expected, *statically) << q;
   }
   // The suite must not silently degenerate to all-empty results.
   EXPECT_GT(nonempty, queries.size() / 2);
@@ -302,11 +303,10 @@ TEST(ThetaJoinDifferentialTest, CutOffSamplingKeepsModesIdentical) {
   for (const std::string& q : GeneratedThetaQueries(rng, 8)) {
     auto compiled = xq::CompileXQuery(corpus, q);
     ASSERT_TRUE(compiled.ok()) << compiled.status().ToString();
-    EXPECT_EQ(RunMode(corpus, *compiled, false, nullptr, /*tau=*/5),
-              RunMode(corpus, *compiled, true, nullptr, /*tau=*/5))
-        << q;
-    EXPECT_EQ(RunMode(corpus, *compiled, false, nullptr, /*tau=*/5),
-              RunMode(corpus, *compiled, true, nullptr, /*tau=*/100))
+    auto expected = reference::Evaluate(q, reference::DocsOf(corpus));
+    ASSERT_TRUE(expected.ok()) << expected.status().ToString() << "\n" << q;
+    EXPECT_EQ(*expected, RunMode(corpus, *compiled, nullptr, /*tau=*/5)) << q;
+    EXPECT_EQ(*expected, RunMode(corpus, *compiled, nullptr, /*tau=*/100))
         << q;
   }
 }

@@ -9,6 +9,7 @@
 
 #include "engine/engine.h"
 #include "index/value_index.h"
+#include "tests/reference_eval.h"
 #include "workload/xmark.h"
 
 namespace rox::obs {
@@ -273,9 +274,9 @@ TEST(TraceEngineTest, ExplainRendersPhase1Estimates) {
 
 // --- satellite 4: differential trace agreement -------------------------------
 //
-// The same query under {eager, lazy} x {1 shard, 4 shards} must produce
-// traces that agree on edge order, kernels, and observed cardinalities,
-// and identical results; running with tracing off must change nothing.
+// The same query on 1 and 4 shards must produce traces that agree on
+// edge order, kernels, and observed cardinalities, and the reference
+// evaluator's result; running with tracing off must change nothing.
 // Operator selection is pinned to the cost model
 // (timed_operator_selection = false): the wall-clock race is the one
 // intentionally nondeterministic choice in the executor.
@@ -306,35 +307,33 @@ TEST(TraceDifferentialTest, ModesAgreeOnEdgesKernelsAndCardinalities) {
     std::vector<EdgeSummary> reference_edges;
     std::vector<Pre> reference_items;
     bool have_reference = false;
-    for (bool lazy : {false, true}) {
-      for (size_t shards : {size_t{1}, size_t{4}}) {
-        SCOPED_TRACE(testing::Message()
-                     << (lazy ? "lazy" : "eager") << " x " << shards
-                     << " shard(s)");
-        EngineOptions opts;
-        opts.num_threads = 2;
-        opts.num_shards = shards;
-        opts.lazy_materialization = lazy;
-        opts.rox.lazy_materialization = lazy;
-        opts.rox.timed_operator_selection = false;
-        opts.rox.seed = 0xd1ffe7e57;  // same stream at sequence 0 everywhere
-        Engine eng(MakeCorpus(), opts);
-        QueryResult r = eng.Profile(query);
-        ASSERT_TRUE(r.status.ok()) << r.status.ToString();
-        ASSERT_NE(r.trace, nullptr);
-        ASSERT_NE(r.items, nullptr);
-        if (!have_reference) {
-          reference_edges = Summarize(*r.trace);
-          reference_items = *r.items;
-          have_reference = true;
-          ASSERT_FALSE(reference_edges.empty());
-          continue;
-        }
-        EXPECT_EQ(Summarize(*r.trace), reference_edges)
-            << "trace drift:\n"
-            << r.trace->ToTree();
-        EXPECT_EQ(*r.items, reference_items);
+    for (size_t shards : {size_t{1}, size_t{4}}) {
+      SCOPED_TRACE(testing::Message() << shards << " shard(s)");
+      EngineOptions opts;
+      opts.num_threads = 2;
+      opts.num_shards = shards;
+      opts.rox.timed_operator_selection = false;
+      opts.rox.seed = 0xd1ffe7e57;  // same stream at sequence 0 everywhere
+      Engine eng(MakeCorpus(), opts);
+      QueryResult r = eng.Profile(query);
+      ASSERT_TRUE(r.status.ok()) << r.status.ToString();
+      ASSERT_NE(r.trace, nullptr);
+      ASSERT_NE(r.items, nullptr);
+      if (!have_reference) {
+        reference_edges = Summarize(*r.trace);
+        reference_items = *r.items;
+        have_reference = true;
+        ASSERT_FALSE(reference_edges.empty());
+        auto want = reference::Evaluate(
+            query, reference::DocsOf(*eng.CurrentSnapshot()));
+        ASSERT_TRUE(want.ok()) << want.status().ToString();
+        EXPECT_EQ(*r.items, *want);
+        continue;
       }
+      EXPECT_EQ(Summarize(*r.trace), reference_edges)
+          << "trace drift:\n"
+          << r.trace->ToTree();
+      EXPECT_EQ(*r.items, reference_items);
     }
     // Tracing is observation only: the same engine config with the
     // recorder off returns the identical item sequence.
